@@ -31,7 +31,6 @@
 #include "common/parallel.hh"
 #include "common/simd.hh"
 #include "common/telemetry.hh"
-#include "scope/fib.hh"
 
 using namespace hifi;
 
@@ -93,17 +92,6 @@ main(int argc, char **argv)
     // Single-threaded so the numbers isolate lane batching + SIMD
     // from the chunk-level parallelism.
     const common::ScopedThreads one(1);
-
-    // The streaming acquisition hands the Monte-Carlo engine windows
-    // of kStreamWindowSlices slices at a time; keep that window equal
-    // to the default lane width so a streamed window fills exactly
-    // one lockstep batch and the out-of-core path never runs the
-    // solver with idle lanes.
-    check(circuit::TranParams{}.batchLanes ==
-              static_cast<int>(scope::kStreamWindowSlices),
-          "scope::kStreamWindowSlices matches the default "
-          "TranParams::batchLanes (streamed windows must fill a "
-          "solver batch)");
 
     // The BENCH_solver.json sensing-yield workload: classic SA,
     // Pelgrom coefficient 9 V*nm, 50 ps steps.

@@ -110,13 +110,12 @@ struct PipelineConfig
     scope::RecoveryParams recovery;
 
     /**
-     * Out-of-core memory budget in bytes; 0 (the default) keeps the
-     * fully in-RAM pipeline.  When set, acquisition streams straight
-     * into the denoise → register → assemble chain slice by slice
-     * and the assembled volume lives in a spill-to-disk tile store,
-     * so peak working memory is bounded by roughly this figure plus
-     * the fixed per-stage state instead of by the stack size.  The
-     * report is bitwise identical to the in-RAM path at any budget,
+     * Out-of-core memory budget in bytes; 0 (the default) assembles
+     * the post-processed volume in RAM.  When set, the post-process
+     * chain assembles into a spill-to-disk tile store instead, so the
+     * assembled volume's working set is bounded by roughly this
+     * figure (the acquired slice stack is still held in RAM).  The
+     * report is bitwise identical to the in-RAM run at any budget,
      * tile size and thread count (tests/test_volume.cc).  Budgets
      * smaller than one tile layer are rejected by validateConfig.
      */

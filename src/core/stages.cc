@@ -311,35 +311,31 @@ stagePostprocess(const PipelineConfig &config, StagedState &state)
     post.algo = config.denoise;
     post.mi.bins = 16;
     post.mi.maxShift = 6;
+
+    // A memory budget assembles into a tiled, spill-to-disk volume
+    // instead of a dense one.  Same chain, same report bits; only the
+    // peak working set changes (tests/test_volume.cc).
+    image::TileStore *store = nullptr;
     if (config.memoryBudget > 0) {
-        // Out-of-core path: stream denoise -> register -> assemble
-        // over bounded slice windows into a tiled, spill-to-disk
-        // volume.  Same per-slice arithmetic, same report bits; only
-        // the peak working set changes (tests/test_volume.cc).
         if (const auto err = ensureTileStore(config, state))
             return err;
-        auto streamed = scope::postprocessStreamed(
-            stack, *state.tileStore, post,
-            image::TiledVolume3D::kDefaultTileEdge,
-            config.memoryBudget / 2);
-        if (!streamed.ok())
-            return streamed.error();
-        scope::StreamedPostprocessResult result =
-            streamed.takeValue();
-        report.alignmentResidualPx = result.alignmentResidualPx;
-        report.alignmentBudgetMet = result.meetsAlignmentBudget(
-            stack.slices.front().height());
-        state.processedTiled = std::make_shared<image::TiledVolume3D>(
-            std::move(result.volume));
-    } else {
-        scope::PostprocessResult processed =
-            scope::postprocess(stack, post);
-        report.alignmentResidualPx = processed.alignmentResidualPx;
-        report.alignmentBudgetMet = processed.meetsAlignmentBudget(
-            stack.slices.front().height());
-        state.processed = std::make_shared<image::Volume3D>(
-            std::move(processed.volume));
+        store = state.tileStore.get();
     }
+    auto processed = scope::postprocessChecked(
+        stack, store, post, image::TiledVolume3D::kDefaultTileEdge,
+        config.memoryBudget / 2);
+    if (!processed.ok())
+        return processed.error();
+    scope::PostprocessResult result = processed.takeValue();
+    report.alignmentResidualPx = result.alignmentResidualPx;
+    report.alignmentBudgetMet =
+        result.meetsAlignmentBudget(stack.slices.front().height());
+    if (store)
+        state.processedTiled = std::make_shared<image::TiledVolume3D>(
+            std::move(result.tiled));
+    else
+        state.processed = std::make_shared<image::Volume3D>(
+            std::move(result.volume));
     if (!report.alignmentBudgetMet)
         common::warn("pipeline " + chip.id +
                      ": alignment residual exceeds the 0.77% budget");
@@ -374,14 +370,12 @@ stageAnalyze(const PipelineConfig &config, StagedState &state)
         if (!dense.ok())
             return dense.error();
         state.processedTiled.reset();
-        const image::Volume3D volume = dense.takeValue();
-        report.analysis = re::analyzeRegion(
-            volume, scales, resolveDetector(config, chip));
-    } else {
-        report.analysis = re::analyzeRegion(
-            *state.processed, scales, resolveDetector(config, chip));
-        state.processed.reset();
+        state.processed =
+            std::make_shared<image::Volume3D>(dense.takeValue());
     }
+    report.analysis = re::analyzeRegion(*state.processed, scales,
+                                        resolveDetector(config, chip));
+    state.processed.reset();
     state.next = Stage::Finalize;
     return std::nullopt;
 }

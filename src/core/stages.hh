@@ -83,9 +83,10 @@ struct StagedState
     std::shared_ptr<image::SliceStack> stack;   ///< Acquire -> Postpr.
     std::shared_ptr<image::Volume3D> processed; ///< Postpr. -> Analyze
 
-    /// Postprocess -> Analyze on the memory-budgeted path
-    /// (config.memoryBudget > 0): the assembled volume stays sealed
-    /// in `tileStore` and Analyze materializes it just in time, so
+    /// Postprocess -> Analyze when config.memoryBudget > 0: the
+    /// post-process chain's tiled sink.  The assembled volume stays
+    /// sealed in `tileStore` until Analyze materializes it into
+    /// `processed` and drops the tiles — after the stack is gone, so
     /// the stack and the dense volume never coexist.  Exactly one of
     /// `processed` / `processedTiled` is set after Postprocess.
     std::shared_ptr<image::TiledVolume3D> processedTiled;

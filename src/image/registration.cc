@@ -631,36 +631,6 @@ registerShiftMiSubpixel(const Image2D &fixed, const Image2D &moving,
             static_cast<double>(best.second) + fy};
 }
 
-std::vector<std::pair<long, long>>
-alignStack(const std::vector<Image2D> &slices, const MiParams &params)
-{
-    if (slices.empty())
-        throw std::invalid_argument("alignStack: no slices");
-
-    // Each neighbouring pair registers independently; only the prefix
-    // accumulation into slice-0 coordinates is sequential.
-    std::vector<std::pair<long, long>> pairwise(slices.size(),
-                                                {0, 0});
-    common::parallelFor(1, slices.size(), 1, [&](size_t i0, size_t i1) {
-        for (size_t i = i0; i < i1; ++i)
-            pairwise[i] =
-                registerShiftMi(slices[i - 1], slices[i], params);
-    });
-
-    std::vector<std::pair<long, long>> shifts;
-    shifts.reserve(slices.size());
-    shifts.emplace_back(0, 0);
-    long acc_x = 0, acc_y = 0;
-    for (size_t i = 1; i < slices.size(); ++i) {
-        // registerShiftMi returns the offset of slice i relative to
-        // slice i-1; accumulate to express it relative to slice 0.
-        acc_x += -pairwise[i].first;
-        acc_y += -pairwise[i].second;
-        shifts.emplace_back(acc_x, acc_y);
-    }
-    return shifts;
-}
-
 double
 alignmentResidual(const std::vector<std::pair<long, long>> &recovered,
                   const std::vector<std::pair<long, long>> &truth)

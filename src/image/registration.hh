@@ -4,9 +4,9 @@
  *
  * The paper aligns each FIB/SEM slice to its predecessor with Dragonfly's
  * mutual-information algorithm.  Planar-view fidelity requires residual
- * alignment error below 0.77% of the slice height, so we expose both the
- * pairwise MI search and the full-stack chained alignment, and report the
- * residual against ground truth in tests/benches.
+ * alignment error below 0.77% of the slice height, so we expose the
+ * pairwise MI search (chained over the stack by scope::postprocess) and
+ * the residual against ground truth.
  *
  * Fast path: both images are quantized into bin-index planes *once* per
  * registration, and every candidate offset accumulates an integer joint
@@ -32,7 +32,7 @@ namespace hifi
 namespace image
 {
 
-/** Shift-search strategy for registerShiftMi / alignStack. */
+/** Shift-search strategy for registerShiftMi. */
 enum class MiStrategy
 {
     /// Score every offset in the full window.  The default: exact by
@@ -138,16 +138,6 @@ std::pair<long, long> registerShiftMiReference(
 std::pair<double, double> registerShiftMiSubpixel(
     const Image2D &fixed, const Image2D &moving,
     const MiParams &params = {});
-
-/**
- * Chained stack alignment: slice i is registered to slice i-1 and the
- * shifts are accumulated, exactly as the paper's per-slice procedure.
- *
- * @return absolute shift of every slice relative to slice 0
- *         (element 0 is always {0, 0})
- */
-std::vector<std::pair<long, long>>
-alignStack(const std::vector<Image2D> &slices, const MiParams &params = {});
 
 /**
  * Residual alignment error against ground truth drift, as the mean

@@ -115,24 +115,5 @@ Volume3D::planarSlabChecked(size_t z0, size_t z1) const
     return R(planarSlab(z0, z1));
 }
 
-Volume3D
-assembleVolume(const std::vector<Image2D> &slices,
-               const std::vector<std::pair<long, long>> &shifts)
-{
-    if (slices.empty())
-        throw std::invalid_argument("assembleVolume: no slices");
-    if (shifts.size() != slices.size())
-        throw std::invalid_argument("assembleVolume: shift count");
-    const size_t ny = slices[0].width();
-    const size_t nz = slices[0].height();
-    Volume3D vol(slices.size(), ny, nz);
-    for (size_t i = 0; i < slices.size(); ++i) {
-        const Image2D corrected =
-            slices[i].shifted(-shifts[i].first, -shifts[i].second);
-        vol.setCrossSection(i, corrected);
-    }
-    return vol;
-}
-
 } // namespace image
 } // namespace hifi

@@ -156,16 +156,6 @@ struct SliceStack
     double pixelResolutionNm = 5.0;
 };
 
-/**
- * Assemble an aligned slice stack into a volume.
- *
- * @param slices   cross-section images, all the same shape
- * @param shifts   per-slice (dy, dz) correction to apply (from the
- *                 registration step); slice i is translated by -shift[i]
- */
-Volume3D assembleVolume(const std::vector<Image2D> &slices,
-                        const std::vector<std::pair<long, long>> &shifts);
-
 } // namespace image
 } // namespace hifi
 

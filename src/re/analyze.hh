@@ -98,7 +98,8 @@ struct RegionAnalysis
 /**
  * Analyze a reconstructed (denoised, aligned) volume.
  *
- * @param recon    volume from scope::postprocess
+ * @param recon    dense volume assembled by the scope::postprocess
+ *                 chain (a tiled result is materialized first)
  * @param scales   physical voxel pitch per axis
  * @param detector detector the stack was acquired with
  */

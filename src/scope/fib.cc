@@ -243,34 +243,6 @@ acquire(const image::Volume3D &materials, const FibSemParams &params,
     return stack;
 }
 
-// ---- Streaming windows ---------------------------------------------
-
-SliceWindowing::SliceWindowing(size_t window, WindowConsumer sink)
-    : window_(window ? window : kStreamWindowSlices),
-      sink_(std::move(sink))
-{
-}
-
-void
-SliceWindowing::push(StreamedSlice &&slice)
-{
-    if (current_.slices.empty())
-        current_.begin = slice.index;
-    current_.slices.push_back(std::move(slice));
-    if (current_.slices.size() >= window_)
-        flush();
-}
-
-void
-SliceWindowing::flush()
-{
-    if (current_.slices.empty())
-        return;
-    SliceWindow w = std::move(current_);
-    current_ = SliceWindow{};
-    sink_(std::move(w));
-}
-
 // ---- Robust acquisition (streaming core) ---------------------------
 
 StreamAcquisitionStats

@@ -221,51 +221,6 @@ struct StreamedSlice
 /// order.
 using SliceConsumer = std::function<void(StreamedSlice &&)>;
 
-/**
- * Contiguous run of finalized slices handed downstream as one work
- * item.  Streaming consumers that fan per-slice work into the
- * batched transient solver should take whole windows so tile
- * streaming never shrinks BatchSimulator lane occupancy.
- */
-struct SliceWindow
-{
-    size_t begin = 0;
-    std::vector<StreamedSlice> slices;
-};
-
-using WindowConsumer = std::function<void(SliceWindow &&)>;
-
-/// Default streaming window width, matched to the transient solver's
-/// default lane batch (circuit::TranParams::batchLanes = 8) so a
-/// window maps onto full SIMD lane groups.
-constexpr size_t kStreamWindowSlices = 8;
-
-/**
- * Adapter that groups a per-slice stream into contiguous
- * SliceWindows of `window` slices.  flush() (idempotent) emits the
- * final short window; the destructor does NOT flush, so an
- * error-path unwind never feeds a consumer half a window.
- */
-class SliceWindowing
-{
-  public:
-    SliceWindowing(size_t window, WindowConsumer sink);
-
-    void push(StreamedSlice &&slice);
-    void flush();
-
-    /// The per-slice consumer face of this adapter.
-    SliceConsumer consumer()
-    {
-        return [this](StreamedSlice &&s) { push(std::move(s)); };
-    }
-
-  private:
-    size_t window_;
-    WindowConsumer sink_;
-    SliceWindow current_;
-};
-
 /** Aggregate counters of a streamed acquisition (the fields of
  * RobustAcquisition that are not per-slice). */
 struct StreamAcquisitionStats

@@ -1,5 +1,7 @@
 #include "scope/postprocess.hh"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/parallel.hh"
@@ -12,6 +14,15 @@ namespace scope
 
 namespace
 {
+
+/**
+ * Slices per drain.  Each drain fans the window's denoise and its
+ * pairwise registrations out over the pool one slice per task, so the
+ * window must hold enough slices to keep every worker busy; beyond
+ * that it only grows the buffered frames.  The width never changes a
+ * bit (see StreamingPostprocessor).
+ */
+constexpr size_t kWindowSlices = 8;
 
 image::Image2D
 denoiseOne(const image::Image2D &slice, const PostprocessParams &p)
@@ -29,61 +40,37 @@ denoiseOne(const image::Image2D &slice, const PostprocessParams &p)
 
 } // namespace
 
-PostprocessResult
-postprocess(const image::SliceStack &stack,
-            const PostprocessParams &params)
-{
-    const telemetry::Span span("scope.postprocess");
-
-    // Degenerate stacks are well-defined no-ops rather than crashes:
-    // an empty stack yields an empty volume with no shifts, and a
-    // single-slice stack (which has no neighbour to register against)
-    // gets the identity shift and a zero residual.
-    if (stack.slices.empty())
-        return {};
-
-    // 1. Edge-preserving denoise per slice.
-    std::vector<image::Image2D> denoised;
-    denoised.reserve(stack.slices.size());
-    {
-        const telemetry::Span denoise_span("image.denoise");
-        for (const auto &slice : stack.slices)
-            denoised.push_back(denoiseOne(slice, params));
-    }
-
-    // 2. Chained mutual-information alignment.
-    PostprocessResult result;
-    {
-        const telemetry::Span register_span("image.register");
-        result.shifts = image::alignStack(denoised, params.mi);
-        if (stack.trueDrift.size() == result.shifts.size() &&
-            !stack.trueDrift.empty()) {
-            result.alignmentResidualPx = image::alignmentResidual(
-                result.shifts, stack.trueDrift);
-        }
-    }
-
-    // 3. Assemble the volume with the recovered corrections.
-    {
-        const telemetry::Span assemble_span("image.assemble");
-        result.volume =
-            image::assembleVolume(denoised, result.shifts);
-    }
-    return result;
-}
-
-// ---- Streaming chain -----------------------------------------------
-
 StreamingPostprocessor::StreamingPostprocessor(
-    size_t expectedSlices, image::TileStore &store,
+    size_t expectedSlices, image::TileStore *store,
     const PostprocessParams &params, size_t tileEdge,
     size_t dirtyBudgetBytes, size_t windowSlices)
     : store_(store), params_(params), expected_(expectedSlices),
       tileEdge_(tileEdge), dirtyBudget_(dirtyBudgetBytes),
-      window_(windowSlices ? windowSlices : kStreamWindowSlices)
+      window_(windowSlices ? windowSlices : kWindowSlices)
 {
-    shifts_.reserve(expectedSlices);
+    out_.shifts.reserve(expectedSlices);
     trueDrift_.reserve(expectedSlices);
+}
+
+std::optional<common::Error>
+StreamingPostprocessor::openSink(size_t width, size_t height)
+{
+    if (store_) {
+        auto vol = image::TiledVolume3D::create(
+            expected_, width, height, *store_, tileEdge_, dirtyBudget_);
+        if (!vol.ok())
+            return vol.error();
+        out_.tiled = vol.takeValue();
+    } else {
+        auto vol = image::Volume3D::createChecked(expected_, width,
+                                                  height);
+        if (!vol.ok())
+            return vol.error();
+        out_.volume = vol.takeValue();
+    }
+    width_ = width;
+    height_ = height;
+    return std::nullopt;
 }
 
 std::optional<common::Error>
@@ -101,14 +88,19 @@ StreamingPostprocessor::push(
             "StreamingPostprocessor: more slices than promised (" +
                 std::to_string(expected_) + ")"};
 
-    // The volume's (Y, Z) extent comes from the first frame.
-    if (volume_.empty()) {
-        auto vol = image::TiledVolume3D::create(
-            expected_, frame.width(), frame.height(), store_,
-            tileEdge_, dirtyBudget_);
-        if (!vol.ok())
-            return vol.error();
-        volume_ = vol.takeValue();
+    // The volume's (Y, Z) extent comes from the first frame; every
+    // later frame must match it.
+    if (pushed_ == 0) {
+        if (auto err = openSink(frame.width(), frame.height()))
+            return err;
+    } else if (frame.width() != width_ || frame.height() != height_) {
+        return common::Error{
+            common::ErrorCode::InvalidArgument,
+            "StreamingPostprocessor: slice " + std::to_string(pushed_) +
+                " is " + std::to_string(frame.width()) + "x" +
+                std::to_string(frame.height()) + ", slice 0 is " +
+                std::to_string(width_) + "x" +
+                std::to_string(height_)};
     }
 
     if (trueDrift)
@@ -127,8 +119,8 @@ StreamingPostprocessor::drainWindow()
         return std::nullopt;
     const size_t n = raw_.size();
 
-    // 1. Denoise the window (independent per slice — same calls and
-    //    chunking as the dense chain, so thread-count invariant).
+    // 1. Denoise the window (independent per slice, so thread-count
+    //    invariant).
     std::vector<image::Image2D> den(n);
     {
         const telemetry::Span denoise_span("image.denoise");
@@ -140,7 +132,7 @@ StreamingPostprocessor::drainWindow()
 
     // 2. Pairwise MI registration against each slice's predecessor
     //    (the previous window's last denoised slice anchors i == 0),
-    //    then the sequential chained accumulation of alignStack.
+    //    then the sequential accumulation into slice-0 coordinates.
     std::vector<std::pair<long, long>> pairwise(n, {0, 0});
     {
         const telemetry::Span register_span("image.register");
@@ -155,23 +147,28 @@ StreamingPostprocessor::drainWindow()
             }
         });
         for (size_t i = 0; i < n; ++i) {
+            // registerShiftMi returns the offset of slice i relative
+            // to slice i-1; accumulate to express it relative to
+            // slice 0.
             if (assembled_ + i > 0) {
                 accX_ += -pairwise[i].first;
                 accY_ += -pairwise[i].second;
             }
-            shifts_.emplace_back(accX_, accY_);
+            out_.shifts.emplace_back(accX_, accY_);
         }
     }
 
-    // 3. Assemble the corrected slices into the tiled volume.
+    // 3. Assemble the corrected slices into the sink.
     {
         const telemetry::Span assemble_span("image.assemble");
         for (size_t i = 0; i < n; ++i) {
-            const auto &shift = shifts_[assembled_ + i];
+            const size_t x = assembled_ + i;
+            const auto &shift = out_.shifts[x];
             const image::Image2D corrected =
                 den[i].shifted(-shift.first, -shift.second);
-            if (auto err =
-                    volume_.setCrossSection(assembled_ + i, corrected))
+            if (!store_)
+                out_.volume.setCrossSection(x, corrected);
+            else if (auto err = out_.tiled.setCrossSection(x, corrected))
                 return err;
         }
     }
@@ -183,10 +180,10 @@ StreamingPostprocessor::drainWindow()
     return std::nullopt;
 }
 
-common::Result<StreamedPostprocessResult>
+common::Result<PostprocessResult>
 StreamingPostprocessor::finish()
 {
-    using R = common::Result<StreamedPostprocessResult>;
+    using R = common::Result<PostprocessResult>;
     if (finished_)
         return R::failure(common::ErrorCode::FailedPrecondition,
                           "StreamingPostprocessor: already finished");
@@ -200,28 +197,24 @@ StreamingPostprocessor::finish()
     if (auto err = drainWindow())
         return R(*err);
 
-    StreamedPostprocessResult result;
-    if (!volume_.empty()) {
-        if (auto err = volume_.sealAll())
+    if (!out_.tiled.empty()) {
+        if (auto err = out_.tiled.sealAll())
             return R(*err);
-        result.volume = std::move(volume_);
     }
-    result.shifts = std::move(shifts_);
-    if (trueDrift_.size() == result.shifts.size() &&
-        !trueDrift_.empty()) {
-        result.alignmentResidualPx =
-            image::alignmentResidual(result.shifts, trueDrift_);
+    if (trueDrift_.size() == out_.shifts.size() && !trueDrift_.empty()) {
+        out_.alignmentResidualPx =
+            image::alignmentResidual(out_.shifts, trueDrift_);
     }
-    return R(std::move(result));
+    return R(std::move(out_));
 }
 
-common::Result<StreamedPostprocessResult>
-postprocessStreamed(const image::SliceStack &stack,
-                    image::TileStore &store,
-                    const PostprocessParams &params, size_t tileEdge,
-                    size_t dirtyBudgetBytes, size_t windowSlices)
+common::Result<PostprocessResult>
+postprocessChecked(const image::SliceStack &stack,
+                   image::TileStore *store,
+                   const PostprocessParams &params, size_t tileEdge,
+                   size_t dirtyBudgetBytes, size_t windowSlices)
 {
-    using R = common::Result<StreamedPostprocessResult>;
+    using R = common::Result<PostprocessResult>;
     const telemetry::Span span("scope.postprocess");
     StreamingPostprocessor pp(stack.slices.size(), store, params,
                               tileEdge, dirtyBudgetBytes,
@@ -237,6 +230,17 @@ postprocessStreamed(const image::SliceStack &stack,
             return R(*err);
     }
     return pp.finish();
+}
+
+PostprocessResult
+postprocess(const image::SliceStack &stack,
+            const PostprocessParams &params)
+{
+    auto result = postprocessChecked(stack, nullptr, params);
+    if (!result.ok())
+        throw std::invalid_argument("postprocess: " +
+                                    result.error().message);
+    return result.takeValue();
 }
 
 } // namespace scope

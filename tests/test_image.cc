@@ -265,22 +265,6 @@ TEST(Registration, SubpixelRefinementStaysNearIntegerTruth)
     EXPECT_NEAR(sub.second, 3.0, 0.5);
 }
 
-TEST(Registration, AlignStackRecoversDriftWalk)
-{
-    Rng rng(10);
-    Image2D base = testPattern(60, 50);
-    image::addGaussianNoise(base, 0.02, rng);
-
-    const std::vector<std::pair<long, long>> drift = {
-        {0, 0}, {1, 0}, {2, 1}, {2, 2}, {1, 2}, {0, 1}};
-    std::vector<Image2D> slices;
-    for (const auto &d : drift)
-        slices.push_back(base.shifted(d.first, d.second));
-
-    const auto recovered = image::alignStack(slices);
-    EXPECT_NEAR(image::alignmentResidual(recovered, drift), 0.0, 0.5);
-}
-
 TEST(Registration, ResidualDetectsMisalignment)
 {
     const std::vector<std::pair<long, long>> truth = {
@@ -321,19 +305,6 @@ TEST(Pgm, Errors)
                  std::runtime_error);
     EXPECT_THROW(image::writePgm("/tmp/x.pgm", Image2D()),
                  std::invalid_argument);
-}
-
-TEST(Registration, AssembleVolumeAppliesCorrections)
-{
-    Image2D a(6, 6, 0.0f);
-    a.at(3, 3) = 1.0f;
-    // Slice 1 drifted by (+1, +1); assembly with the recorded drift
-    // must put the bright pixel back at (3, 3).
-    std::vector<Image2D> slices = {a, a.shifted(1, 1)};
-    const auto vol =
-        image::assembleVolume(slices, {{0, 0}, {1, 1}});
-    EXPECT_FLOAT_EQ(vol.at(0, 3, 3), 1.0f);
-    EXPECT_FLOAT_EQ(vol.at(1, 3, 3), 1.0f);
 }
 
 // ---- Fast-path equivalence (quantized MI, tie-break, tolerance) ----

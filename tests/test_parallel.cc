@@ -282,21 +282,6 @@ TEST_F(KernelDeterminism, MiShiftSearch)
     EXPECT_EQ(serial, (std::pair<long, long>{-2, 1}));
 }
 
-TEST_F(KernelDeterminism, AlignStack)
-{
-    const Image2D base = noisyPattern(48, 40);
-    const std::vector<std::pair<long, long>> drift = {
-        {0, 0}, {1, 0}, {2, 1}, {1, 2}};
-    std::vector<Image2D> slices;
-    for (const auto &d : drift)
-        slices.push_back(base.shifted(d.first, d.second));
-
-    auto align = [&] { return image::alignStack(slices, {16, 4}); };
-    const auto serial = withThreads(1, align);
-    EXPECT_EQ(serial, withThreads(2, align));
-    EXPECT_EQ(serial, withThreads(8, align));
-}
-
 TEST_F(KernelDeterminism, SemImage)
 {
     const Volume3D materials = materialVolume();

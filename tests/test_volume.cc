@@ -3,9 +3,10 @@
  * Tests for the out-of-core tiled volume subsystem: the
  * content-addressed TileStore (LRU, pinning, spill, corruption
  * taxonomy), TiledVolume3D vs the dense Volume3D (bitwise, at several
- * tile sizes), the streaming acquisition and post-processing chains vs
- * their in-RAM references (bitwise, at several thread counts and
- * window sizes), and the memory-budgeted pipeline end to end.
+ * tile sizes), the streaming acquisition vs its collected form, the
+ * post-process chain's dense and tiled sinks vs the serial reference
+ * chain in postprocess_reference.hh (bitwise, at several thread counts
+ * and window widths), and the memory-budgeted pipeline end to end.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,11 +25,14 @@
 #include "core/pipeline.hh"
 #include "core/stages.hh"
 #include "image/image2d.hh"
+#include "image/noise.hh"
 #include "image/tile_store.hh"
 #include "image/tiled_volume.hh"
 #include "image/volume3d.hh"
 #include "scope/fib.hh"
 #include "scope/postprocess.hh"
+
+#include "postprocess_reference.hh"
 
 namespace
 {
@@ -499,82 +505,159 @@ TEST(StreamingAcquire, MatchesCollectedAcquireBitwise)
         << "scene/faults no longer exercise the interpolation path";
 }
 
-TEST(StreamingAcquire, WindowingKeepsSolverLaneOccupancy)
+// ---- Serial reference chain ------------------------------------------
+
+/// Noisy bars-and-block pattern for the reference-chain tests.
+Image2D
+referencePattern(size_t w, size_t h, uint64_t seed)
 {
-    const auto vol = makeScene();
-    const auto params = sceneParams();
-    scope::FaultParams faults; // clean run: 60 slices
-    scope::RecoveryParams recovery;
+    Image2D img(w, h, 0.1f);
+    for (size_t x = 6; x < w; x += 8)
+        img.fillRect(static_cast<long>(x), 0, static_cast<long>(x + 4),
+                     static_cast<long>(h), 0.8f);
+    img.fillRect(10, 12, 30, 26, 0.5f);
+    common::Rng rng(seed);
+    image::addGaussianNoise(img, 0.02, rng);
+    return img;
+}
 
-    std::vector<scope::SliceWindow> windows;
-    scope::SliceWindowing grouping(
-        scope::kStreamWindowSlices,
-        [&](scope::SliceWindow &&w) {
-            windows.push_back(std::move(w));
-        });
-    const auto stats = scope::acquireRobustStreamed(
-        vol, params, faults, recovery, 5, grouping.consumer());
-    grouping.flush();
+TEST(ReferenceChain, AlignStackRecoversDriftWalk)
+{
+    const Image2D base = referencePattern(60, 50, 10);
+    const std::vector<std::pair<long, long>> drift = {
+        {0, 0}, {1, 0}, {2, 1}, {2, 2}, {1, 2}, {0, 1}};
+    std::vector<Image2D> slices;
+    for (const auto &d : drift)
+        slices.push_back(base.shifted(d.first, d.second));
 
-    ASSERT_EQ(stats.slices, 60u);
-    size_t covered = 0;
-    for (size_t i = 0; i < windows.size(); ++i) {
-        EXPECT_EQ(windows[i].begin, covered);
-        // Every window except the last is exactly one solver batch
-        // (circuit::TranParams::batchLanes) wide.
-        if (i + 1 < windows.size()) {
-            EXPECT_EQ(windows[i].slices.size(),
-                      scope::kStreamWindowSlices);
-        }
-        covered += windows[i].slices.size();
+    const auto recovered = testref::alignStack(slices);
+    EXPECT_NEAR(image::alignmentResidual(recovered, drift), 0.0, 0.5);
+}
+
+TEST(ReferenceChain, AlignStackIsThreadInvariant)
+{
+    const Image2D base = referencePattern(48, 40, 5);
+    std::vector<Image2D> slices;
+    for (const auto &d : std::vector<std::pair<long, long>>{
+             {0, 0}, {1, 0}, {2, 1}, {1, 2}})
+        slices.push_back(base.shifted(d.first, d.second));
+
+    std::vector<std::vector<std::pair<long, long>>> runs;
+    for (const size_t threads : {1u, 2u, 8u}) {
+        common::ScopedThreads scoped(threads);
+        runs.push_back(testref::alignStack(slices, {16, 4}));
     }
-    EXPECT_EQ(covered, 60u);
+    EXPECT_EQ(runs[0], runs[1]);
+    EXPECT_EQ(runs[0], runs[2]);
+}
+
+TEST(ReferenceChain, AssembleVolumeAppliesCorrections)
+{
+    Image2D a(6, 6, 0.0f);
+    a.at(3, 3) = 1.0f;
+    // Slice 1 drifted by (+1, +1); assembly with the recorded drift
+    // must put the bright pixel back at (3, 3).
+    const std::vector<Image2D> slices = {a, a.shifted(1, 1)};
+    const auto vol = testref::assembleVolume(slices, {{0, 0}, {1, 1}});
+    EXPECT_FLOAT_EQ(vol.at(0, 3, 3), 1.0f);
+    EXPECT_FLOAT_EQ(vol.at(1, 3, 3), 1.0f);
 }
 
 // ---- Streaming post-processing ---------------------------------------
 
-TEST(StreamingPostprocess, BitwiseIdenticalToDenseChain)
+TEST(StreamingPostprocess, BitwiseIdenticalToSerialReference)
 {
     const auto vol = makeScene();
     const auto robust = scope::acquireRobust(
         vol, sceneParams(), noisyFaults(), scope::RecoveryParams{},
         33);
     const scope::PostprocessParams pp;
+    const size_t n = robust.stack.slices.size();
 
-    const auto dense = scope::postprocess(robust.stack, pp);
+    const auto reference = testref::postprocess(robust.stack, pp);
 
-    struct Case
-    {
-        size_t threads, tileEdge, window;
-        size_t dirtyBudget;
-    };
-    const Case cases[] = {
-        {1, 16, 3, 0},
-        {2, 64, scope::kStreamWindowSlices, 0},
-        // Dirty budget of two tiles: assembly churns seal/reload.
-        {8, 16, 5, 2 * 16 * 16 * 16 * sizeof(float)},
-    };
-    for (const Case &c : cases) {
-        common::ScopedThreads threads(c.threads);
-        TileStoreConfig cfg;
-        cfg.dir = scratchDir(
-            "pp_" + std::to_string(c.threads) + "_" +
-            std::to_string(c.tileEdge) + "_" +
-            std::to_string(c.window));
-        TileStore store(std::move(cfg));
-        auto streamed = scope::postprocessStreamed(
-            robust.stack, store, pp, c.tileEdge, c.dirtyBudget,
-            c.window);
-        ASSERT_TRUE(streamed.ok());
-        EXPECT_EQ(streamed.value().shifts, dense.shifts);
-        EXPECT_EQ(streamed.value().alignmentResidualPx,
-                  dense.alignmentResidualPx);
-        auto back = streamed.value().volume.toDense();
-        ASSERT_TRUE(back.ok());
-        EXPECT_TRUE(bitwiseEqual(back.value(), dense.volume))
-            << "threads=" << c.threads << " edge=" << c.tileEdge
-            << " window=" << c.window;
+    // Window widths: one slice per drain, an odd width, the chain's
+    // own width (0) and one wider than the whole stack.
+    const size_t windows[] = {1, 5, 0, n + 7};
+    // Tiled sink: 16^3 tiles with a two-tile dirty budget, so
+    // assembly churns seal/reload.
+    const size_t edge = 16;
+    const size_t dirty = 2 * edge * edge * edge * sizeof(float);
+    for (const bool tiled : {false, true}) {
+        for (const size_t threads : {1u, 2u, 8u}) {
+            for (const size_t window : windows) {
+                const std::string label =
+                    std::string(tiled ? "tiled" : "dense") +
+                    " threads=" + std::to_string(threads) +
+                    " window=" + std::to_string(window);
+                common::ScopedThreads scoped(threads);
+                std::optional<TileStore> store;
+                if (tiled) {
+                    TileStoreConfig cfg;
+                    cfg.dir = scratchDir(
+                        "pp_" + std::to_string(threads) + "_" +
+                        std::to_string(window));
+                    store.emplace(std::move(cfg));
+                }
+                auto result = scope::postprocessChecked(
+                    robust.stack, store ? &*store : nullptr, pp, edge,
+                    dirty, window);
+                ASSERT_TRUE(result.ok()) << label;
+                const scope::PostprocessResult &r = result.value();
+                EXPECT_EQ(r.shifts, reference.shifts) << label;
+                EXPECT_EQ(r.alignmentResidualPx,
+                          reference.alignmentResidualPx)
+                    << label;
+                EXPECT_EQ(r.tiled.empty(), !tiled) << label;
+                EXPECT_EQ(r.volume.empty(), tiled) << label;
+                if (tiled) {
+                    auto back = r.tiled.toDense();
+                    ASSERT_TRUE(back.ok()) << label;
+                    EXPECT_TRUE(
+                        bitwiseEqual(back.value(), reference.volume))
+                        << label;
+                } else {
+                    EXPECT_TRUE(bitwiseEqual(r.volume, reference.volume))
+                        << label;
+                }
+            }
+        }
     }
+}
+
+TEST(StreamingPostprocess, MismatchedSliceShapeIsTypedOnEverySink)
+{
+    for (const bool tiled : {false, true}) {
+        std::optional<TileStore> store;
+        if (tiled) {
+            TileStoreConfig cfg;
+            cfg.dir = scratchDir("pp_shape");
+            store.emplace(std::move(cfg));
+        }
+        // Window of 2: the odd frame would reach registration and the
+        // sink in the first drain if push let it through.
+        scope::StreamingPostprocessor pp(
+            3, store ? &*store : nullptr, {},
+            TiledVolume3D::kDefaultTileEdge, 0, 2);
+        ASSERT_FALSE(pp.push(Image2D(24, 20, 0.5f), std::nullopt));
+        const auto err = pp.push(Image2D(24, 21, 0.5f), std::nullopt);
+        ASSERT_TRUE(err.has_value()) << (tiled ? "tiled" : "dense");
+        EXPECT_EQ(err->code, ErrorCode::InvalidArgument);
+
+        // The rejected frame was not consumed: the chain still
+        // finishes once the promised count of well-shaped frames
+        // arrives.
+        ASSERT_FALSE(pp.push(Image2D(24, 20, 0.5f), std::nullopt));
+        ASSERT_FALSE(pp.push(Image2D(24, 20, 0.5f), std::nullopt));
+        auto done = pp.finish();
+        ASSERT_TRUE(done.ok());
+        EXPECT_EQ(done.value().shifts.size(), 3u);
+    }
+
+    // The throwing dense wrapper keeps its invalid_argument contract.
+    image::SliceStack ragged;
+    ragged.slices = {Image2D(12, 10), Image2D(11, 10)};
+    EXPECT_THROW(scope::postprocess(ragged), std::invalid_argument);
 }
 
 // ---- Memory-budgeted pipeline ----------------------------------------
