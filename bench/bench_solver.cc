@@ -1,24 +1,23 @@
 /**
  * @file
  * Batched-transient-engine benchmark: wall-clock of the sensingYield
- * Monte-Carlo sweep under the lockstep BatchSimulator at several lane
- * widths, against the retained per-trial scalar engine
- * (TranParams::batchLanes <= 1), plus the forced-portable-SIMD batch.
- * Every batched row is checked for exact agreement (failures count and
- * bitwise meanSignal) with the scalar sweep, so the bench doubles as
- * an equivalence smoke test; the full run additionally pins the
- * 1024-trial goldens (failures=210, meanSignal=0.131616443).
+ * Monte-Carlo sweep, which runs its trials as 8-lane BatchSimulator
+ * blocks, once with the AVX2 lane kernels (when the CPU has them) and
+ * once forced onto the portable lane loops.  The two rows must agree
+ * exactly (failures count and bitwise meanSignal), so the bench
+ * doubles as an equivalence smoke test; the full run additionally
+ * pins both rows bitwise to the 1024-trial goldens (failures=210,
+ * meanSignal=0.13161644322958033).  The per-trial scalar reference
+ * the goldens were first recorded with lives in
+ * tests/solver_reference.hh.
  *
- * Numbers are transcribed into BENCH_solver.json; the "after" column
- * of the previous PR (scalar sparse engine, 392.38 ms at 1024 trials)
- * is the baseline the batched rows are compared against.
+ * Numbers are transcribed into BENCH_solver.json.
  *
  * `--quick` shrinks the trial count and rep counts for CI smoke runs.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <iomanip>
 #include <iostream>
@@ -27,7 +26,6 @@
 
 #include "circuit/mismatch.hh"
 #include "circuit/sense_amp.hh"
-#include "circuit/solver.hh"
 #include "common/parallel.hh"
 #include "common/simd.hh"
 #include "common/telemetry.hh"
@@ -57,8 +55,8 @@ medianMs(F &&fn, size_t reps)
 struct Row
 {
     std::string name;
-    double fastMs = 0.0;
-    double referenceMs = -1.0; ///< < 0: no reference column
+    double ms = 0.0;
+    circuit::YieldResult yield;
     std::string note;
 };
 
@@ -71,6 +69,12 @@ check(bool ok, const std::string &what)
         std::cerr << "MISMATCH: " << what << "\n";
         ++g_failures;
     }
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 } // namespace
@@ -103,104 +107,61 @@ main(int argc, char **argv)
     tran.dt = 50e-12;
 
     const size_t reps = quick ? 1 : 3;
-    std::vector<Row> rows;
+    const std::string prefix =
+        "sensing_yield_" + std::to_string(mc.trials);
 
-    // Scalar per-trial reference sweep (the previous PR's fast path).
-    circuit::TranParams scalar_tran = tran;
-    scalar_tran.batchLanes = 1;
-    circuit::YieldResult ref{};
-    Row row_ref;
-    row_ref.name =
-        "sensing_yield_" + std::to_string(mc.trials) + "_scalar";
-    row_ref.fastMs = medianMs([&] {
-        ref = circuit::sensingYield(sa, mc, scalar_tran);
+    // Default dispatch: AVX2 lane kernels when available.
+    Row simd;
+    simd.name = prefix + "_batched_lanes_8";
+    simd.ms = medianMs([&] {
+        simd.yield = circuit::sensingYield(sa, mc, tran);
     }, reps);
-    row_ref.note = std::to_string(ref.failures) + " failures";
-    rows.push_back(row_ref);
+    simd.note = "isa " +
+        std::string(common::simd::isaName(common::simd::activeIsa()));
 
-    if (!quick) {
-        // Pin the seed-deterministic goldens recorded in
-        // BENCH_solver.json since the sparse-engine PR.
-        check(ref.failures == 210, "scalar 1024-trial failures golden");
-        check(std::abs(ref.meanSignal - 0.131616443) < 5e-10,
-              "scalar 1024-trial meanSignal golden");
-    }
-
-    // Batched lockstep sweep at several lane widths; every width must
-    // reproduce the scalar sweep exactly.
-    for (int lanes : {4, 8, 16}) {
-        circuit::TranParams bt = tran;
-        bt.batchLanes = lanes;
-        circuit::YieldResult got{};
-        Row row;
-        row.name = "sensing_yield_" + std::to_string(mc.trials) +
-            "_batched_lanes_" + std::to_string(lanes);
-        row.fastMs = medianMs([&] {
-            got = circuit::sensingYield(sa, mc, bt);
-        }, reps);
-        row.referenceMs = row_ref.fastMs;
-        check(got.failures == ref.failures,
-              row.name + " failures vs scalar");
-        check(std::memcmp(&got.meanSignal, &ref.meanSignal,
-                          sizeof(double)) == 0,
-              row.name + " meanSignal bitwise vs scalar");
-        row.note = "isa " +
-            std::string(common::simd::isaName(
-                common::simd::activeIsa())) +
-            ", vs per-trial scalar";
-        rows.push_back(row);
-    }
-
-    // Default batch width with the SIMD lane kernels forced off: the
-    // portable batched path must also be bitwise identical.
+    // The same sweep with the SIMD lane kernels forced off.
+    Row portable;
+    portable.name = prefix + "_batched_portable";
     {
-        circuit::TranParams bt = tran; // default batchLanes
-        circuit::YieldResult got{};
-        Row row;
-        row.name = "sensing_yield_" + std::to_string(mc.trials) +
-            "_batched_portable";
         common::simd::ScopedForceScalar off;
-        row.fastMs = medianMs([&] {
-            got = circuit::sensingYield(sa, mc, bt);
+        portable.ms = medianMs([&] {
+            portable.yield = circuit::sensingYield(sa, mc, tran);
         }, reps);
-        row.referenceMs = row_ref.fastMs;
-        check(got.failures == ref.failures,
-              row.name + " failures vs scalar");
-        check(std::memcmp(&got.meanSignal, &ref.meanSignal,
-                          sizeof(double)) == 0,
-              row.name + " meanSignal bitwise vs scalar");
-        row.note = "HIFI_SIMD-off equivalent, vs per-trial scalar";
-        rows.push_back(row);
+    }
+    portable.note = "HIFI_SIMD-off equivalent";
+
+    check(portable.yield.failures == simd.yield.failures,
+          portable.name + " failures vs " + simd.name);
+    check(sameBits(portable.yield.meanSignal, simd.yield.meanSignal),
+          portable.name + " meanSignal bitwise vs " + simd.name);
+    if (!quick) {
+        // The seed-deterministic goldens recorded in BENCH_solver.json
+        // since the sparse-engine PR, pinned bitwise on both rows.
+        for (const Row *r : {&simd, &portable}) {
+            check(r->yield.failures == 210,
+                  r->name + " 1024-trial failures golden");
+            check(sameBits(r->yield.meanSignal, 0.13161644322958033),
+                  r->name + " 1024-trial meanSignal golden");
+        }
     }
 
     // ---- Report -----------------------------------------------------
     std::cout << "\nBatched solver bench (1 thread, median of " << reps
-              << "; reference = per-trial scalar sweep)\n"
-              << "trials=" << mc.trials << " failures=" << ref.failures
+              << ")\n"
+              << "trials=" << mc.trials
+              << " failures=" << simd.yield.failures
               << " meanSignal=" << std::setprecision(17)
-              << ref.meanSignal << "\n\n";
-    for (const Row &r : rows) {
-        std::cout << "  " << r.name << ": " << r.fastMs << " ms";
-        if (r.referenceMs >= 0.0)
-            std::cout << " (scalar " << r.referenceMs << " ms, "
-                      << r.referenceMs / r.fastMs << "x)";
-        if (!r.note.empty())
-            std::cout << " [" << r.note << "]";
-        std::cout << "\n";
-    }
+              << simd.yield.meanSignal << std::setprecision(6)
+              << "\n\n";
+    for (const Row *r : {&simd, &portable})
+        std::cout << "  " << r->name << ": " << r->ms << " ms ["
+                  << r->note << "]\n";
 
     // Machine-readable block (transcribed into BENCH_solver.json).
-    std::cout << "\nJSON:\n[";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        std::cout << (i ? ",\n " : "\n ") << "{\"name\": \"" << r.name
-                  << "\", \"fast_ms\": " << r.fastMs;
-        if (r.referenceMs >= 0.0)
-            std::cout << ", \"scalar_ms\": " << r.referenceMs
-                      << ", \"speedup\": " << r.referenceMs / r.fastMs;
-        std::cout << "}";
-    }
-    std::cout << "\n]\n";
+    std::cout << "\nJSON:\n[\n {\"name\": \"" << simd.name
+              << "\", \"fast_ms\": " << simd.ms << "},\n {\"name\": \""
+              << portable.name << "\", \"fast_ms\": " << portable.ms
+              << "}\n]\n";
 
     if (g_failures) {
         std::cerr << g_failures << " equivalence failure(s)\n";

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "common/telemetry.hh"
 
@@ -391,8 +392,8 @@ BatchSimulator::run(const TranParams &params, size_t lanes)
     const size_t steps =
         static_cast<size_t>(std::ceil(params.tstop / params.dt));
 
-    // One TranResult per lane, trace lookups hoisted like the scalar
-    // engine's.
+    // One TranResult per lane, trace lookups hoisted out of the time
+    // loop.
     std::vector<TranResult> results(L);
     std::vector<std::vector<Trace *>> nodeTrace(L), srcTrace(L);
     for (size_t l = 0; l < L; ++l) {
@@ -461,7 +462,7 @@ BatchSimulator::run(const TranParams &params, size_t lanes)
 
         // Masked Newton loop: all lanes advance in lockstep; a lane
         // that converges retires (its iterate and branch currents
-        // freeze, mirroring the scalar early-exit break).
+        // freeze, as after a single run's early-exit break).
         std::fill(active.begin(), active.end(), 1);
         std::fill(converged.begin(), converged.end(), 0);
         std::fill(itersUsed.begin(), itersUsed.end(), 0);
@@ -469,24 +470,24 @@ BatchSimulator::run(const TranParams &params, size_t lanes)
 
         for (int it = 0; it < params.maxNewton && num_active > 0;
              ++it) {
-            // Restore the static stamp for every lane with one copy,
-            // then add the MOSFET linearizations at each lane's
-            // iterate.  Per lane the value-update order is exactly
-            // the scalar restamp's (devices in netlist order).
-            std::memcpy(workVals_.data(), splat.data(),
-                        slots * L * sizeof(double));
-            std::memcpy(rhsWork_.data(), rhsStep_.data(),
-                        dim * L * sizeof(double));
-#if HIFI_SIMD_AVX2_COMPILED
-            if (L % 4 == 0 && common::simd::avx2())
-                stampLanesAvx2(L);
-            else
-                stampLanesScalar(L, active.data());
-#else
-            stampLanesScalar(L, active.data());
-#endif
-
             if (sparse) {
+                // Restore the static stamp for every lane with one
+                // copy, then add the MOSFET linearizations at each
+                // lane's iterate.  Per lane the value-update order is
+                // exactly a single run's restamp (devices in netlist
+                // order).
+                std::memcpy(workVals_.data(), splat.data(),
+                            slots * L * sizeof(double));
+                std::memcpy(rhsWork_.data(), rhsStep_.data(),
+                            dim * L * sizeof(double));
+#if HIFI_SIMD_AVX2_COMPILED
+                if (L % 4 == 0 && common::simd::avx2())
+                    stampLanesAvx2(L);
+                else
+                    stampLanesScalar(L, active.data());
+#else
+                stampLanesScalar(L, active.data());
+#endif
                 for (size_t l = 0; l < L; ++l)
                     okLanes_[l] = (active[l] && !forceDense_[l]) ? 1
                                                                  : 0;
@@ -501,10 +502,10 @@ BatchSimulator::run(const TranParams &params, size_t lanes)
                     }
                     if (!active[l])
                         continue;
-                    // A forced lane emulates the scalar Dense engine;
-                    // a lane whose batched factor hit a bad pivot
-                    // takes the scalar dense fallback.  Both re-stamp
-                    // this lane (its SoA values were consumed by the
+                    // A forced lane emulates LinearSolver::Dense; a
+                    // lane whose batched factor hit a bad pivot takes
+                    // the dense fallback.  Both re-stamp this lane
+                    // (its SoA values were consumed by the
                     // factorization) and run the shared dense kernel.
                     if (forceDense_[l])
                         ++dense_solves;
@@ -519,6 +520,7 @@ BatchSimulator::run(const TranParams &params, size_t lanes)
                         x_[row * L + l] = laneX_[row];
                 }
             } else {
+                // The dense engine stamps and solves lane by lane.
                 for (size_t l = 0; l < L; ++l) {
                     if (!active[l])
                         continue;
@@ -656,6 +658,20 @@ BatchSimulator::run(const TranParams &params, size_t lanes)
         c_retired.add(retired_early);
     }
     return results;
+}
+
+Simulator::Simulator(const Netlist &netlist)
+    : netlist_(netlist), lane_(netlist, 1)
+{
+}
+
+TranResult
+Simulator::run(const TranParams &params)
+{
+    const auto &mosfets = netlist_.mosfets();
+    for (size_t mi = 0; mi < mosfets.size(); ++mi)
+        lane_.setVthDelta(0, mi, mosfets[mi].vthDelta);
+    return std::move(lane_.run(params, 1).front());
 }
 
 } // namespace circuit

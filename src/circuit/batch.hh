@@ -1,6 +1,7 @@
 /**
  * @file
- * Lockstep batched transient engine for Monte-Carlo sweeps.
+ * The transient engine: a lockstep batched Newton time loop, and
+ * Simulator, its one-lane facade for single runs.
  *
  * Every sensingYield trial shares one netlist topology, one sparse
  * structure, and one symbolic LU — only the four latch vthDelta values
@@ -11,16 +12,17 @@
  * that replays the cached elimination program across lanes
  * (SparseLu::factorLanes / solveLanes).
  *
- * Bit-identical contract: each lane's arithmetic is exactly the scalar
- * Simulator's — same operand order per value, same damped update, same
- * convergence comparison.  A lane that converges is *retired*: its
- * iterate and branch currents freeze, mirroring the scalar early-exit
- * `break`, while the remaining lanes keep iterating.  A lane whose
- * batched factorization hits a negligible pivot re-stamps itself and
- * runs the same dense partial-pivoting fallback as the scalar engine
- * (shared solveDenseCsr).  tests/test_circuit.cc asserts lane-vs-
- * scalar equality bitwise across topologies, batch remainders, and a
- * forced fallback lane.
+ * Bit-identical contract: each lane's arithmetic is exactly that of a
+ * per-trial scalar Newton loop — same operand order per value, same
+ * damped update, same convergence comparison.  A lane that converges
+ * is *retired*: its iterate and branch currents freeze, like the
+ * scalar loop's early-exit `break`, while the remaining lanes keep
+ * iterating.  A lane whose batched factorization hits a negligible
+ * pivot re-stamps itself and runs the dense partial-pivoting solve
+ * (solveDenseCsr).  tests/test_circuit.cc holds every lane bitwise
+ * equal to the scalar loop kept in tests/solver_reference.hh, across
+ * topologies, batch remainders, SIMD on and off, and a forced
+ * fallback lane.
  */
 
 #ifndef HIFI_CIRCUIT_BATCH_HH
@@ -46,8 +48,8 @@ namespace circuit
  * are held inside the simulator (setVthDelta) so the shared netlist is
  * never mutated; offsets default to each device's own vthDelta at
  * construction time.  The referenced netlist must outlive the
- * simulator; like the scalar engine, value patches are allowed between
- * runs but topology changes require a new instance.
+ * simulator; value patches are allowed between runs but topology
+ * changes require a new instance.
  */
 class BatchSimulator
 {
@@ -57,12 +59,12 @@ class BatchSimulator
     size_t maxLanes() const { return maxLanes_; }
 
     /// Set lane `lane`'s threshold offset for netlist MOSFET
-    /// `mosfetIndex` (the value scalar runs would put in vthDelta).
+    /// `mosfetIndex` (what a single run reads from its vthDelta).
     void setVthDelta(size_t lane, size_t mosfetIndex, double delta);
 
     /**
      * Testing hook: route this lane through the dense fallback on
-     * every Newton iteration, making it execute exactly the scalar
+     * every Newton iteration, making it execute exactly the
      * LinearSolver::Dense arithmetic while its neighbours stay on the
      * batched sparse path.
      */
@@ -70,8 +72,8 @@ class BatchSimulator
 
     /**
      * Run `lanes` transients in lockstep and return one TranResult
-     * per lane — bitwise identical to `lanes` scalar Simulator runs
-     * over the same netlist with the same per-lane vthDelta patches.
+     * per lane — bitwise identical to `lanes` single runs over the
+     * same netlist with each lane's vthDelta patched in.
      */
     std::vector<TranResult> run(const TranParams &params, size_t lanes);
 
@@ -134,12 +136,35 @@ class BatchSimulator
     std::vector<double> branchCurrents_;
     std::vector<uint8_t> okLanes_;
 
-    // Scalar per-lane scratch for the dense fallback path.
+    // Single-lane scratch for the dense fallback path.
     std::vector<double> laneVals_;
     std::vector<double> laneRhs_;
     std::vector<double> laneX_;
     std::vector<double> denseA_;
     std::vector<double> denseB_;
+};
+
+/**
+ * Transient simulator over a fixed netlist: a one-lane BatchSimulator.
+ *
+ * Construction caches the matrix structure and the symbolic LU; run()
+ * only fills in numbers.  The referenced netlist must outlive the
+ * simulator.  Between run() calls the caller may patch device
+ * *values* in place (MOSFET vthDelta, source waveforms): every run
+ * reads them from the netlist.  Adding or removing devices or nodes
+ * invalidates the cached structure and requires a new Simulator.
+ */
+class Simulator
+{
+  public:
+    explicit Simulator(const Netlist &netlist);
+
+    /// Run a transient analysis and record every node voltage.
+    TranResult run(const TranParams &params);
+
+  private:
+    const Netlist &netlist_;
+    BatchSimulator lane_;
 };
 
 } // namespace circuit

@@ -57,8 +57,8 @@ struct DualSaRun
  * Build the two-SA region netlist and fill in the control schedule.
  * Node names: A_BL/A_BLB/A_CN and B_BL/B_BLB/B_CN; the control nodes
  * (WL, PEQ, SAN, SAP) are single and shared.  Exposed so tests and
- * batched Monte-Carlo sweeps can run the same topology through
- * alternative engines (e.g. BatchSimulator).
+ * batched Monte-Carlo sweeps can run the same topology as
+ * BatchSimulator lanes.
  */
 Netlist buildDualSaTestbench(const DualSaParams &params,
                              SaSchedule &schedule);

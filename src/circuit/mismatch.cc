@@ -36,8 +36,8 @@ sensingYield(const SaParams &base, const MismatchParams &params,
 
     // Chunk grain: the testbench netlist, schedule, and simulator
     // (with its cached matrix structure and symbolic factorization)
-    // are built once per chunk; each trial only patches the four
-    // latch vthDelta fields.  The grain is a fixed constant, so the
+    // are built once per chunk; each trial only sets its lane's four
+    // latch threshold offsets.  The grain is a fixed constant, so the
     // chunk boundaries — and with them the reduction order — stay
     // independent of the worker thread count.
     constexpr size_t kTrialsPerChunk = 16;
@@ -62,40 +62,22 @@ sensingYield(const SaParams &base, const MismatchParams &params,
         }
     }
 
-    // Lane count: >1 routes chunks through the lockstep BatchSimulator
-    // (bitwise identical per trial); <=1 keeps the per-trial scalar
-    // reference path.
-    const size_t lanes = tran.batchLanes > 1
-        ? static_cast<size_t>(tran.batchLanes) : 1;
+    // Trials per BatchSimulator block: the width bench_solver
+    // measured fastest (16 lanes ran slower than 8, see DESIGN.md).
+    // Each lane runs the per-trial arithmetic, so the width never
+    // changes a result.
+    constexpr size_t kLanes = 8;
 
-    const auto scalarChunk = [&](size_t t0, size_t t1) {
-        Accum acc;
-        SaTestbench testbench(base);
-        Netlist &net = testbench.netlist();
-        for (size_t trial = t0; trial < t1; ++trial) {
-            common::Rng rng(params.seed, trial);
-            for (size_t k = 0; k < latch.size(); ++k)
-                net.mosfet(latch[k]).vthDelta =
-                    rng.gaussian(0.0, sigma[k]);
-
-            const SaRun run = testbench.simulate(tran);
-            if (!run.latchedCorrectly)
-                ++acc.failures;
-            acc.signal += std::abs(run.signalBeforeLatch);
-        }
-        return acc;
-    };
-
-    const auto batchedChunk = [&](size_t t0, size_t t1) {
+    const auto chunk = [&](size_t t0, size_t t1) {
         Accum acc;
         SaSchedule sched;
         const Netlist net = buildSaTestbench(base, sched);
-        BatchSimulator sim(net, lanes);
+        BatchSimulator sim(net, kLanes);
         TranParams tp = tran;
         tp.tstop = sched.tEnd;
 
-        for (size_t b0 = t0; b0 < t1; b0 += lanes) {
-            const size_t n = std::min(lanes, t1 - b0);
+        for (size_t b0 = t0; b0 < t1; b0 += kLanes) {
+            const size_t n = std::min(kLanes, t1 - b0);
             for (size_t l = 0; l < n; ++l) {
                 common::Rng rng(params.seed, b0 + l);
                 for (size_t k = 0; k < latch.size(); ++k)
@@ -115,11 +97,7 @@ sensingYield(const SaParams &base, const MismatchParams &params,
     };
 
     const Accum total = common::parallelReduce(
-        0, params.trials, kTrialsPerChunk, Accum{},
-        [&](size_t t0, size_t t1) {
-            return lanes > 1 ? batchedChunk(t0, t1)
-                             : scalarChunk(t0, t1);
-        },
+        0, params.trials, kTrialsPerChunk, Accum{}, chunk,
         [](Accum a, Accum b) {
             a.failures += b.failures;
             a.signal += b.signal;

@@ -26,8 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "circuit/batch.hh"
 #include "circuit/netlist.hh"
-#include "circuit/solver.hh"
 
 namespace hifi
 {
@@ -179,11 +179,11 @@ TranParams defaultSaTran();
 /**
  * Reusable activation testbench: the netlist, schedule, and a
  * simulator with its cached matrix structure, built once and reused
- * across many runs.  Monte-Carlo drivers patch device values through
+ * across many runs.  Callers may patch device values through
  * netlist() (e.g. the latch vthDelta fields) between simulate()
- * calls; the cached structure stays valid because only values, not
- * topology, change.  Non-copyable (the simulator references the
- * owned netlist).
+ * calls and the next run sees them; the cached structure stays valid
+ * because only values, not topology, change.  Non-copyable (the
+ * simulator references the owned netlist).
  */
 class SaTestbench
 {
@@ -213,7 +213,7 @@ SaRun simulateActivation(const SaParams &params,
 /**
  * Analyze a finished transient run of a testbench built by
  * buildSaTestbench (also used by the Monte-Carlo mismatch driver,
- * which perturbs the netlist between build and run).
+ * which runs its trials as BatchSimulator lanes).
  */
 SaRun analyzeActivation(const SaParams &params,
                         const SaSchedule &schedule, TranResult tran,

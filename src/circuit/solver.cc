@@ -11,8 +11,6 @@
 #include <immintrin.h>
 #endif
 
-#include "common/telemetry.hh"
-
 namespace hifi
 {
 namespace circuit
@@ -78,50 +76,6 @@ TranResult::sourceEnergy(const std::string &source_name) const
         energy += 0.5 * (p0 + p1) * dt;
     }
     return energy;
-}
-
-std::vector<double>
-solveDense(std::vector<std::vector<double>> &a, std::vector<double> &b)
-{
-    const size_t n = a.size();
-    if (n == 0 || b.size() != n)
-        throw std::invalid_argument("solveDense: bad dimensions");
-
-    for (size_t col = 0; col < n; ++col) {
-        // Partial pivot.
-        size_t pivot = col;
-        double best = std::abs(a[col][col]);
-        for (size_t row = col + 1; row < n; ++row) {
-            if (std::abs(a[row][col]) > best) {
-                best = std::abs(a[row][col]);
-                pivot = row;
-            }
-        }
-        if (best < kPivotTiny)
-            throw std::runtime_error("solveDense: singular matrix");
-        if (pivot != col) {
-            std::swap(a[pivot], a[col]);
-            std::swap(b[pivot], b[col]);
-        }
-        // Eliminate below.
-        for (size_t row = col + 1; row < n; ++row) {
-            const double f = a[row][col] / a[col][col];
-            if (f == 0.0)
-                continue;
-            for (size_t k = col; k < n; ++k)
-                a[row][k] -= f * a[col][k];
-            b[row] -= f * b[col];
-        }
-    }
-    // Back substitution.
-    std::vector<double> x(n, 0.0);
-    for (size_t i = n; i-- > 0;) {
-        double sum = b[i];
-        for (size_t k = i + 1; k < n; ++k)
-            sum -= a[i][k] * x[k];
-        x[i] = sum / a[i][i];
-    }
-    return x;
 }
 
 // --- SparseLu --------------------------------------------------------
@@ -310,12 +264,13 @@ SparseLu::slot(int row, int col) const
     return static_cast<int>(it - colIdx_.begin());
 }
 
-template <size_t L>
 void
-SparseLu::factorLanesFixed(double *values, uint8_t *ok)
+SparseLu::factorLanesPortable(double *values, size_t lanes, uint8_t *ok)
 {
-    double inv[L];
-    double f[L];
+    const size_t L = lanes;
+    laneTmp_.resize(2 * L);
+    double *inv = laneTmp_.data();
+    double *f = inv + L;
     for (const Step &st : steps_) {
         const double *pv = values + static_cast<size_t>(st.pivotSlot) * L;
         for (size_t l = 0; l < L; ++l) {
@@ -325,38 +280,6 @@ SparseLu::factorLanesFixed(double *values, uint8_t *ok)
             // Dead lanes get inv = 0: the row operations below then
             // stream every lane branch-free, multiplying dead lanes
             // by zero instead of testing them.
-            inv[l] = good ? 1.0 / pv[l] : 0.0;
-        }
-        for (int oi = st.rowOpBegin; oi < st.rowOpEnd; ++oi) {
-            const RowOp &op = rowOps_[oi];
-            double *fv = values + static_cast<size_t>(op.factorSlot) * L;
-            for (size_t l = 0; l < L; ++l) {
-                f[l] = fv[l] * inv[l];
-                fv[l] = f[l];
-            }
-            for (int q = op.pairBegin; q < op.pairEnd; ++q) {
-                double *tgt =
-                    values + static_cast<size_t>(pairTarget_[q]) * L;
-                const double *src =
-                    values + static_cast<size_t>(pairSrc_[q]) * L;
-                for (size_t l = 0; l < L; ++l)
-                    tgt[l] -= f[l] * src[l];
-            }
-        }
-    }
-}
-
-void
-SparseLu::factorLanesVar(double *values, size_t lanes, uint8_t *ok)
-{
-    const size_t L = lanes;
-    std::vector<double> inv(L), f(L);
-    for (const Step &st : steps_) {
-        const double *pv = values + static_cast<size_t>(st.pivotSlot) * L;
-        for (size_t l = 0; l < L; ++l) {
-            const bool good = ok[l] && std::abs(pv[l]) >= kPivotTiny;
-            if (ok[l] && !good)
-                ok[l] = 0;
             inv[l] = good ? 1.0 / pv[l] : 0.0;
         }
         for (int oi = st.rowOpBegin; oi < st.rowOpEnd; ++oi) {
@@ -511,6 +434,13 @@ SparseLu::solveLanesAvx2(const double *values, const double *b,
 void
 SparseLu::factorLanes(double *values, size_t lanes, uint8_t *ok)
 {
+    // One lane is the scalar factorization: the same arithmetic
+    // without the lane loops.
+    if (lanes == 1) {
+        if (ok[0] && !factor(values))
+            ok[0] = 0;
+        return;
+    }
 #if HIFI_SIMD_AVX2_COMPILED
     if (lanes % 4 == 0 && lanes / 4 <= kMaxLaneGroups &&
         common::simd::avx2()) {
@@ -518,34 +448,19 @@ SparseLu::factorLanes(double *values, size_t lanes, uint8_t *ok)
         return;
     }
 #endif
-    // Fixed-width instantiations give the compiler constant trip
-    // counts on the lane loops (full unroll / vectorization at -O2);
-    // other widths run the generic form with identical arithmetic.
-    switch (lanes) {
-      case 4:
-        factorLanesFixed<4>(values, ok);
-        return;
-      case 8:
-        factorLanesFixed<8>(values, ok);
-        return;
-      case 16:
-        factorLanesFixed<16>(values, ok);
-        return;
-      default:
-        factorLanesVar(values, lanes, ok);
-        return;
-    }
+    factorLanesPortable(values, lanes, ok);
 }
 
-template <size_t L>
 void
-SparseLu::solveLanesFixed(const double *values, const double *b,
-                          double *x)
+SparseLu::solveLanesPortable(const double *values, const double *b,
+                             double *x, size_t lanes)
 {
+    const size_t L = lanes;
     double *y = laneScratch_.data();
     std::copy(b, b + dim_ * L, y);
-    double piv[L];
-    double sum[L];
+    laneTmp_.resize(2 * L);
+    double *piv = laneTmp_.data();
+    double *sum = piv + L;
     // Forward: replay the row operations on every lane of the RHS.
     for (const Step &st : steps_) {
         const double *py = y + static_cast<size_t>(st.pivotRow) * L;
@@ -582,50 +497,13 @@ SparseLu::solveLanesFixed(const double *values, const double *b,
 }
 
 void
-SparseLu::solveLanesVar(const double *values, const double *b,
-                        double *x, size_t lanes)
-{
-    const size_t L = lanes;
-    double *y = laneScratch_.data();
-    std::copy(b, b + dim_ * L, y);
-    std::vector<double> piv(L), sum(L);
-    for (const Step &st : steps_) {
-        const double *py = y + static_cast<size_t>(st.pivotRow) * L;
-        for (size_t l = 0; l < L; ++l)
-            piv[l] = py[l];
-        for (int oi = st.rowOpBegin; oi < st.rowOpEnd; ++oi) {
-            const RowOp &op = rowOps_[oi];
-            const double *fv =
-                values + static_cast<size_t>(op.factorSlot) * L;
-            double *ry = y + static_cast<size_t>(op.row) * L;
-            for (size_t l = 0; l < L; ++l)
-                ry[l] -= fv[l] * piv[l];
-        }
-    }
-    for (auto it = steps_.rbegin(); it != steps_.rend(); ++it) {
-        const Step &st = *it;
-        const double *py = y + static_cast<size_t>(st.pivotRow) * L;
-        for (size_t l = 0; l < L; ++l)
-            sum[l] = py[l];
-        for (int q = st.uBegin; q < st.uEnd; ++q) {
-            const double *uv =
-                values + static_cast<size_t>(uSlots_[q]) * L;
-            const double *xv = x + static_cast<size_t>(uVars_[q]) * L;
-            for (size_t l = 0; l < L; ++l)
-                sum[l] -= uv[l] * xv[l];
-        }
-        const double *pv =
-            values + static_cast<size_t>(st.pivotSlot) * L;
-        double *xo = x + static_cast<size_t>(st.pivotCol) * L;
-        for (size_t l = 0; l < L; ++l)
-            xo[l] = sum[l] / pv[l];
-    }
-}
-
-void
 SparseLu::solveLanes(const double *values, const double *b, double *x,
                      size_t lanes)
 {
+    if (lanes == 1) {
+        solve(values, b, x);
+        return;
+    }
     if (laneScratch_.size() < dim_ * lanes)
         laneScratch_.resize(dim_ * lanes);
 #if HIFI_SIMD_AVX2_COMPILED
@@ -635,20 +513,7 @@ SparseLu::solveLanes(const double *values, const double *b, double *x,
         return;
     }
 #endif
-    switch (lanes) {
-      case 4:
-        solveLanesFixed<4>(values, b, x);
-        return;
-      case 8:
-        solveLanesFixed<8>(values, b, x);
-        return;
-      case 16:
-        solveLanesFixed<16>(values, b, x);
-        return;
-      default:
-        solveLanesVar(values, b, x, lanes);
-        return;
-    }
+    solveLanesPortable(values, b, x, lanes);
 }
 
 bool
@@ -923,27 +788,6 @@ MnaStructure::assembleBase(const TranParams &params, bool step0,
     }
 }
 
-// --- Simulator -------------------------------------------------------
-
-Simulator::Simulator(const Netlist &netlist)
-    : netlist_(netlist), st_(netlist)
-{
-    // Workspace (sized once here, reused across runs).
-    baseVals_.assign(st_.lu.slots(), 0.0);
-    baseValsStep0_.assign(st_.lu.slots(), 0.0);
-    workVals_.assign(st_.lu.slots(), 0.0);
-    rhsStep_.assign(st_.dim, 0.0);
-    rhsWork_.assign(st_.dim, 0.0);
-    x_.assign(st_.dim, 0.0);
-    v_.assign(netlist_.numNodes(), 0.0);
-    capPrev_.assign(netlist_.capacitors().size(), 0.0);
-    capIPrev_.assign(netlist_.capacitors().size(), 0.0);
-    capGeq_.assign(netlist_.capacitors().size(), 0.0);
-    branchCurrents_.assign(st_.ns, 0.0);
-    denseA_.assign(st_.dim * st_.dim, 0.0);
-    denseB_.assign(st_.dim, 0.0);
-}
-
 void
 solveDenseCsr(const SparseLu &lu, const double *vals,
               const double *rhs, double *x, double *a, double *b)
@@ -970,7 +814,7 @@ solveDenseCsr(const SparseLu &lu, const double *vals,
             }
         }
         if (best < kPivotTiny)
-            throw std::runtime_error("solveDense: singular matrix");
+            throw std::runtime_error("solveDenseCsr: singular matrix");
         if (pivot != col) {
             std::swap_ranges(a + pivot * n, a + (pivot + 1) * n,
                              a + col * n);
@@ -991,226 +835,6 @@ solveDenseCsr(const SparseLu &lu, const double *vals,
             sum -= a[i * n + k] * x[k];
         x[i] = sum / a[i * n + i];
     }
-}
-
-void
-Simulator::solveDenseFallback(const std::vector<double> &vals)
-{
-    solveDenseCsr(st_.lu, vals.data(), rhsWork_.data(), x_.data(),
-                  denseA_.data(), denseB_.data());
-}
-
-TranResult
-Simulator::run(const TranParams &params)
-{
-    const telemetry::Span tspan("solver.tran");
-    const bool instrumented = telemetry::enabled();
-    size_t lu_refactorizations = 0;
-    size_t dense_fallbacks = 0;
-    size_t dense_solves = 0;
-
-    const size_t num_nodes = netlist_.numNodes();
-    const bool trap = params.integrator == Integrator::Trapezoidal;
-    const bool sparse = params.solver == LinearSolver::Sparse ||
-        (params.solver == LinearSolver::Auto && st_.dim >= kSparseCutoff);
-
-    // Reset the reusable state.
-    std::fill(v_.begin(), v_.end(), 0.0);
-    const auto &caps = netlist_.capacitors();
-    for (size_t ci = 0; ci < caps.size(); ++ci) {
-        capPrev_[ci] = caps[ci].initialVolts;
-        capIPrev_[ci] = 0.0;
-        capGeq_[ci] = (trap ? 2.0 : 1.0) * caps[ci].farads / params.dt;
-    }
-    st_.assembleBase(params, true, baseValsStep0_);
-    st_.assembleBase(params, false, baseVals_);
-
-    const size_t steps =
-        static_cast<size_t>(std::ceil(params.tstop / params.dt));
-
-    // Traces with the name lookups hoisted out of the time loop:
-    // record through precomputed slots (std::map nodes are stable, so
-    // the pointers survive later insertions).
-    TranResult result;
-    std::vector<Trace *> nodeTrace(num_nodes, nullptr);
-    std::vector<Trace *> srcTrace(st_.ns, nullptr);
-    for (size_t n = 1; n < num_nodes; ++n) {
-        Trace t;
-        t.name = netlist_.nodeName(static_cast<NodeId>(n));
-        auto [it, inserted] =
-            result.traces.emplace(t.name, std::move(t));
-        nodeTrace[n] = &it->second;
-    }
-    for (size_t si = 0; si < st_.ns; ++si) {
-        Trace t;
-        t.name = "I(" + netlist_.vsources()[si].name + ")";
-        auto [it, inserted] =
-            result.traces.emplace(t.name, std::move(t));
-        srcTrace[si] = &it->second;
-    }
-    for (auto &[name, tr] : result.traces) {
-        tr.times.reserve(steps + 1);
-        tr.values.reserve(steps + 1);
-    }
-
-    const auto &mosfets = netlist_.mosfets();
-
-    // Restamp the MOSFET linearizations (and their RHS contributions)
-    // on top of the memcpy-restored static stamp.
-    auto restamp = [&]() {
-        std::copy(rhsStep_.begin(), rhsStep_.end(), rhsWork_.begin());
-        for (size_t mi = 0; mi < mosfets.size(); ++mi) {
-            const auto &m = mosfets[mi];
-            const auto &sl = st_.mosfetSlots[mi];
-            const double vd = v_[static_cast<size_t>(m.drain)];
-            const double vg = v_[static_cast<size_t>(m.gate)];
-            const double vs = v_[static_cast<size_t>(m.source)];
-            const MosEval ev = evalMosfet(m, vd, vg, vs);
-
-            // Residual current with the Jacobian offset folded in:
-            // I(v) ~ I0 + J (v - v0)  =>  rhs -= I0 - J v0.
-            const double i0 = ev.id - ev.dIdVd * vd - ev.dIdVg * vg -
-                ev.dIdVs * vs;
-            const double der[3] = {ev.dIdVd, ev.dIdVg, ev.dIdVs};
-            for (int r = 0; r < 2; ++r) {
-                if (sl.rhs[r] < 0)
-                    continue;
-                const double dir = r == 0 ? 1.0 : -1.0;
-                for (int c = 0; c < 3; ++c)
-                    if (sl.m[r][c] >= 0)
-                        workVals_[sl.m[r][c]] += dir * der[c];
-                rhsWork_[static_cast<size_t>(sl.rhs[r])] -= dir * i0;
-            }
-        }
-    };
-
-    for (size_t step = 0; step <= steps; ++step) {
-        const double t = static_cast<double>(step) * params.dt;
-        const double geq_scale = (step == 0) ? 1e3 : 1.0;
-        const std::vector<double> &base =
-            (step == 0) ? baseValsStep0_ : baseVals_;
-
-        // Per-step RHS: capacitor companion currents and source values.
-        std::fill(rhsStep_.begin(), rhsStep_.end(), 0.0);
-        for (size_t ci = 0; ci < caps.size(); ++ci) {
-            const auto &sl = st_.capacitorSlots[ci];
-            const double geq = geq_scale * capGeq_[ci];
-            const double ieq = geq * capPrev_[ci] +
-                (trap && step > 0 ? capIPrev_[ci] : 0.0);
-            if (sl.ra >= 0)
-                rhsStep_[static_cast<size_t>(sl.ra)] += ieq;
-            if (sl.rb >= 0)
-                rhsStep_[static_cast<size_t>(sl.rb)] -= ieq;
-        }
-        for (size_t si = 0; si < st_.ns; ++si)
-            rhsStep_[st_.nv + si] +=
-                netlist_.vsources()[si].waveform.value(t);
-
-        bool converged = false;
-        const size_t step_iter_base = result.totalNewtonIterations;
-        for (int it = 0; it < params.maxNewton; ++it) {
-            ++result.totalNewtonIterations;
-
-            std::copy(base.begin(), base.end(), workVals_.begin());
-            restamp();
-
-            if (sparse) {
-                if (st_.lu.factor(workVals_.data())) {
-                    ++lu_refactorizations;
-                    st_.lu.solve(workVals_.data(), rhsWork_.data(),
-                              x_.data());
-                } else {
-                    // Numerically bad static pivot: re-stamp (factor
-                    // ran in place) and fall back to dense with
-                    // partial pivoting for this iteration.
-                    ++dense_fallbacks;
-                    std::copy(base.begin(), base.end(),
-                              workVals_.begin());
-                    restamp();
-                    solveDenseFallback(workVals_);
-                }
-            } else {
-                ++dense_solves;
-                solveDenseFallback(workVals_);
-            }
-
-            // Branch currents of the voltage sources.  The MNA branch
-            // variable is the current flowing from + through the
-            // source to -, i.e. INTO the positive node; the delivered
-            // current is its negation.
-            for (size_t si = 0; si < st_.ns; ++si)
-                branchCurrents_[si] = -x_[st_.nv + si];
-
-            // Damped update and convergence check.
-            double max_delta = 0.0;
-            for (size_t n = 0; n < st_.nv; ++n) {
-                double delta = x_[n] - v_[n + 1];
-                max_delta = std::max(max_delta, std::abs(delta));
-                delta = std::clamp(delta, -params.maxStepVolts,
-                                   params.maxStepVolts);
-                v_[n + 1] += delta;
-            }
-            if (max_delta < params.tolVolts) {
-                converged = true;
-                break;
-            }
-        }
-        if (!converged)
-            ++result.nonConvergedSteps;
-        if (instrumented) {
-            static telemetry::Histogram &newton_hist =
-                telemetry::registry().histogram(
-                    "solver.newton_per_step",
-                    {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64});
-            newton_hist.observe(static_cast<double>(
-                result.totalNewtonIterations - step_iter_base));
-        }
-
-        // Accept the step: update capacitor memory and record traces.
-        for (size_t ci = 0; ci < caps.size(); ++ci) {
-            const auto &c = caps[ci];
-            const double v_now = v_[static_cast<size_t>(c.a)] -
-                v_[static_cast<size_t>(c.b)];
-            if (trap) {
-                // i = geq (v_now - v_prev) - i_prev (trapezoidal).
-                const double geq = geq_scale * capGeq_[ci];
-                const double i_prev = step > 0 ? capIPrev_[ci] : 0.0;
-                capIPrev_[ci] = geq * (v_now - capPrev_[ci]) - i_prev;
-            }
-            capPrev_[ci] = v_now;
-        }
-        for (size_t n = 1; n < num_nodes; ++n) {
-            nodeTrace[n]->times.push_back(t);
-            nodeTrace[n]->values.push_back(v_[n]);
-        }
-        for (size_t si = 0; si < st_.ns; ++si) {
-            srcTrace[si]->times.push_back(t);
-            srcTrace[si]->values.push_back(branchCurrents_[si]);
-        }
-    }
-
-    if (instrumented) {
-        telemetry::Registry &reg = telemetry::registry();
-        static telemetry::Counter &c_runs =
-            reg.counter("solver.runs");
-        static telemetry::Counter &c_newton =
-            reg.counter("solver.newton_iterations");
-        static telemetry::Counter &c_lu =
-            reg.counter("solver.lu_refactorizations");
-        static telemetry::Counter &c_fallback =
-            reg.counter("solver.dense_fallbacks");
-        static telemetry::Counter &c_dense =
-            reg.counter("solver.dense_solves");
-        static telemetry::Counter &c_nonconv =
-            reg.counter("solver.nonconverged_steps");
-        c_runs.add(1);
-        c_newton.add(result.totalNewtonIterations);
-        c_lu.add(lu_refactorizations);
-        c_fallback.add(dense_fallbacks);
-        c_dense.add(dense_solves);
-        c_nonconv.add(result.nonConvergedSteps);
-    }
-    return result;
 }
 
 } // namespace circuit

@@ -1,11 +1,14 @@
 /**
  * @file
- * Transient analog solver: Modified Nodal Analysis with backward-Euler
- * or trapezoidal integration and Newton-Raphson iteration per timestep.
+ * Building blocks of the transient analog solver: Modified Nodal
+ * Analysis with backward-Euler or trapezoidal integration and
+ * Newton-Raphson iteration per timestep.  The time loop itself lives
+ * in circuit::BatchSimulator (batch.hh); circuit::Simulator is its
+ * one-lane facade.
  *
- * The engine caches everything the netlist topology determines once per
- * Simulator and reuses it across timesteps, Newton iterations, and
- * repeated run() calls (Monte-Carlo trials):
+ * Everything the netlist topology determines is cached once per
+ * simulator (MnaStructure) and reused across timesteps, Newton
+ * iterations, and repeated runs (Monte-Carlo trials):
  *
  *  - a **static stamp** holding the device contributions that never
  *    change within a run (gmin, resistors, capacitor companion
@@ -15,9 +18,7 @@
  *  - a **sparse LU factorization with a cached symbolic phase**: the
  *    fill-in pattern, pivot order, and flattened elimination program
  *    are computed once from the matrix structure, and each Newton
- *    iteration only re-runs the numeric factorization;
- *  - a reusable **workspace** (matrix values, RHS, solution, Newton
- *    iterate, capacitor memory) so the inner loop allocates nothing.
+ *    iteration only re-runs the numeric factorization.
  *
  * Small systems fall back to an in-place dense solve with partial
  * pivoting over the same stamped values (see TranParams::solver).
@@ -56,8 +57,7 @@ enum class LinearSolver
     Sparse, ///< cached-symbolic sparse LU (static pivot order)
 };
 
-/// Below this dimension LinearSolver::Auto picks the dense engine
-/// (shared by the scalar and batched simulators).
+/// Below this dimension LinearSolver::Auto picks the dense engine.
 inline constexpr size_t kSparseCutoff = 8;
 
 /** Transient analysis parameters. */
@@ -85,15 +85,6 @@ struct TranParams
 
     /// Per-iteration voltage-update clamp (V), damps oscillation.
     double maxStepVolts = 0.3;
-
-    /**
-     * Monte-Carlo batching width: how many trials the mismatch sweep
-     * solves in lockstep per BatchSimulator block (see batch.hh).
-     * Each lane runs the exact scalar arithmetic, so results are
-     * bitwise identical at any width; <= 1 selects the per-trial
-     * scalar engine (the retained reference path).
-     */
-    int batchLanes = 8;
 };
 
 /**
@@ -129,13 +120,6 @@ struct TranResult
     /// Lazy upper-cased-name -> trace index (see sourceEnergy).
     mutable std::map<std::string, const Trace *> upperIndex_;
 };
-
-/**
- * Dense linear solve A x = b with partial pivoting.  A is modified.
- * Throws std::runtime_error on a singular matrix.
- */
-std::vector<double> solveDense(std::vector<std::vector<double>> &a,
-                               std::vector<double> &b);
 
 /**
  * Sparse LU with a cached symbolic factorization.
@@ -194,10 +178,12 @@ class SparseLu
      * ok[lane] == 0 on entry are skipped; a lane that hits a
      * numerically negligible pivot gets ok[lane] cleared and its
      * values are garbage from then on (callers re-stamp those lanes
-     * for the dense fallback, exactly like the scalar path).  For
-     * surviving lanes the per-lane arithmetic — operand order
-     * included — is identical to factor(), so the factors are
-     * bitwise equal to lanes-many scalar factorizations.
+     * for the dense fallback).  For surviving lanes the per-lane
+     * arithmetic — operand order included — is identical to
+     * factor(), so the factors are bitwise equal to lanes-many
+     * scalar factorizations.  One lane runs factor() itself; widths
+     * divisible by 4 take the AVX2 kernel when it is available, and
+     * every other width the portable lane loop.
      */
     void factorLanes(double *values, size_t lanes, uint8_t *ok);
 
@@ -214,14 +200,9 @@ class SparseLu
     const std::vector<int> &colIdx() const { return colIdx_; }
 
   private:
-    template <size_t L>
-    void factorLanesFixed(double *values, uint8_t *ok);
-    void factorLanesVar(double *values, size_t lanes, uint8_t *ok);
-    template <size_t L>
-    void solveLanesFixed(const double *values, const double *b,
-                         double *x);
-    void solveLanesVar(const double *values, const double *b,
-                       double *x, size_t lanes);
+    void factorLanesPortable(double *values, size_t lanes, uint8_t *ok);
+    void solveLanesPortable(const double *values, const double *b,
+                            double *x, size_t lanes);
 #if HIFI_SIMD_AVX2_COMPILED
     // AVX2 forms of the lane kernels (4 lanes per ymm register,
     // element-wise ops only — bitwise identical to the portable
@@ -267,14 +248,14 @@ class SparseLu
 
     std::vector<double> scratch_; ///< permuted RHS during solve()
     std::vector<double> laneScratch_; ///< SoA RHS during solveLanes()
+    std::vector<double> laneTmp_; ///< 2 x lanes, portable kernels
 };
 
 /**
- * Cached MNA structure shared by the scalar Simulator and the
- * lockstep BatchSimulator: the matrix dimensions, the analyzed
- * symbolic LU, and the stamp slot tables that map every device onto
- * value-array slots and RHS rows.  Built once per netlist topology;
- * both engines then only fill in numbers.
+ * Cached MNA structure of one netlist: the matrix dimensions, the
+ * analyzed symbolic LU, and the stamp slot tables that map every
+ * device onto value-array slots and RHS rows.  Built once per netlist
+ * topology; the engine then only fills in numbers.
  */
 struct MnaStructure
 {
@@ -329,53 +310,11 @@ struct MnaStructure
  * `rhs` into `b`, and runs in-place Gaussian elimination with partial
  * pivoting.  Writes the solution into `x` (size dim).  Throws
  * std::runtime_error on a singular matrix.  This is *the* dense
- * engine: the scalar Simulator's fallback and the per-lane batched
- * fallback both call it, so their arithmetic is identical.
+ * engine: LinearSolver::Dense and the per-lane fallback after a
+ * negligible sparse pivot both call it.
  */
 void solveDenseCsr(const SparseLu &lu, const double *vals,
                    const double *rhs, double *x, double *a, double *b);
-
-/**
- * Transient simulator over a fixed netlist.
- *
- * Construction caches the matrix structure, the symbolic LU, the
- * stamp slot tables, and the workspace; run() only fills in numbers.
- * The referenced netlist must outlive the simulator.  Between run()
- * calls the caller may patch device *values* in place (MOSFET
- * vthDelta, source waveforms); adding or removing devices or nodes
- * invalidates the cached structure and requires a new Simulator.
- */
-class Simulator
-{
-  public:
-    explicit Simulator(const Netlist &netlist);
-
-    /// Run a transient analysis and record every node voltage.
-    TranResult run(const TranParams &params);
-
-  private:
-    /// Dense fallback: scatter `vals` + solve; writes x_. Throws when
-    /// singular.
-    void solveDenseFallback(const std::vector<double> &vals);
-
-    const Netlist &netlist_;
-    MnaStructure st_; ///< shared structure (dims, LU, slot tables)
-
-    // Reusable workspace (sized at construction, reused across runs).
-    std::vector<double> baseVals_;     ///< static stamp, steady steps
-    std::vector<double> baseValsStep0_; ///< static stamp, IC-pinned step
-    std::vector<double> workVals_;
-    std::vector<double> rhsStep_;
-    std::vector<double> rhsWork_;
-    std::vector<double> x_;
-    std::vector<double> v_;
-    std::vector<double> capPrev_;
-    std::vector<double> capIPrev_;
-    std::vector<double> capGeq_;
-    std::vector<double> branchCurrents_;
-    std::vector<double> denseA_; ///< dim x dim row-major scratch
-    std::vector<double> denseB_;
-};
 
 /**
  * Evaluate a level-1 MOSFET: drain current and its partial derivatives

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,11 +28,13 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
+#include "solver_reference.hh"
 
 namespace
 {
 
 using namespace hifi::circuit;
+using hifi::testref::ReferenceSimulator;
 
 TEST(Pwl, ConstantAndInterpolation)
 {
@@ -76,29 +80,41 @@ TEST(Trace, CrossingsAndExtremes)
     EXPECT_DOUBLE_EQ(t.final(), 0.0);
 }
 
+/// Solve the 2x2 system a x = b with solveDenseCsr, its values laid
+/// out over a full 2x2 SparseLu pattern as the engine stamps them.
+std::vector<double>
+solveDense2x2(const double (&a)[2][2], const std::vector<double> &b)
+{
+    SparseLu lu;
+    lu.analyze(2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}});
+    std::vector<double> vals(lu.slots(), 0.0);
+    for (int r = 0; r < 2; ++r)
+        for (int c = 0; c < 2; ++c)
+            vals[static_cast<size_t>(lu.slot(r, c))] = a[r][c];
+    std::vector<double> x(2, 0.0), denseA(4), denseB(2);
+    solveDenseCsr(lu, vals.data(), b.data(), x.data(), denseA.data(),
+                  denseB.data());
+    return x;
+}
+
 TEST(SolveDense, SolvesKnownSystem)
 {
-    std::vector<std::vector<double>> a = {{2, 1}, {1, 3}};
-    std::vector<double> b = {5, 10};
-    auto x = solveDense(a, b);
+    const auto x = solveDense2x2({{2, 1}, {1, 3}}, {5, 10});
     EXPECT_NEAR(x[0], 1.0, 1e-12);
     EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
 
 TEST(SolveDense, PivotsZeroDiagonal)
 {
-    std::vector<std::vector<double>> a = {{0, 1}, {1, 0}};
-    std::vector<double> b = {2, 3};
-    auto x = solveDense(a, b);
+    const auto x = solveDense2x2({{0, 1}, {1, 0}}, {2, 3});
     EXPECT_NEAR(x[0], 3.0, 1e-12);
     EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
 TEST(SolveDense, ThrowsOnSingular)
 {
-    std::vector<std::vector<double>> a = {{1, 1}, {2, 2}};
-    std::vector<double> b = {1, 2};
-    EXPECT_THROW(solveDense(a, b), std::runtime_error);
+    EXPECT_THROW(solveDense2x2({{1, 1}, {2, 2}}, {1, 2}),
+                 std::runtime_error);
 }
 
 TEST(SparseLu, MatchesDenseOnKnownSystem)
@@ -1157,7 +1173,7 @@ TEST(Spice, FileExportForBothTopologies)
     }
 }
 
-// ---- BatchSimulator: lockstep lanes vs the per-trial scalar engine --
+// ---- BatchSimulator: lockstep lanes vs the per-trial reference -----
 
 /// Every trace, bit for bit, plus the Newton bookkeeping.
 void
@@ -1184,7 +1200,7 @@ expectBitwiseEqual(const TranResult &batch, const TranResult &scalar,
 }
 
 /// Run `lanes` mismatch trials through BatchSimulator and through one
-/// scalar Simulator per lane (same per-lane vthDelta patches), and
+/// ReferenceSimulator per lane (same per-lane vthDelta patches), and
 /// require bitwise-identical results.
 void
 runBatchVsScalar(const Netlist &net, const TranParams &tp,
@@ -1204,7 +1220,7 @@ runBatchVsScalar(const Netlist &net, const TranParams &tp,
     const std::vector<TranResult> got = sim.run(tp, lanes);
     ASSERT_EQ(got.size(), lanes) << what;
     for (size_t l = 0; l < lanes; ++l) {
-        const TranResult ref = Simulator(patched[l]).run(tp);
+        const TranResult ref = ReferenceSimulator(patched[l]).run(tp);
         expectBitwiseEqual(got[l], ref,
                            what + " lane " + std::to_string(l));
     }
@@ -1266,7 +1282,7 @@ TEST(Batch, PortableLanesMatchSimdLanesBitwise)
 TEST(Batch, ForcedDenseFallbackLaneStaysBitwise)
 {
     // A lane forced through the dense fallback must reproduce the
-    // scalar Dense engine bit for bit, and must not perturb its
+    // reference Dense engine bit for bit, and must not perturb its
     // sparse-path neighbours.
     SaParams p;
     SaSchedule sched;
@@ -1293,7 +1309,7 @@ TEST(Batch, ForcedDenseFallbackLaneStaysBitwise)
         TranParams stp = tp;
         stp.solver =
             l == 2 ? LinearSolver::Dense : LinearSolver::Sparse;
-        const TranResult ref = Simulator(patched[l]).run(stp);
+        const TranResult ref = ReferenceSimulator(patched[l]).run(stp);
         expectBitwiseEqual(got[l], ref,
                            "dense-fallback lane " +
                                std::to_string(l));
@@ -1317,43 +1333,88 @@ TEST(Batch, LaneAndMosfetIndexValidation)
     EXPECT_THROW(sim.run(tp, 3), std::invalid_argument);
 }
 
-TEST(Batch, SensingYieldIsLaneWidthInvariant)
+TEST(Batch, SensingYieldMatchesPerTrialReference)
 {
-    // 24 trials split into Monte-Carlo chunks of 16 + 8; lane widths
-    // 3 and 5 leave remainders in both chunks, 8 divides neither
-    // evenly either. All must reproduce the per-trial scalar sweep
-    // exactly: same failure count, bitwise-identical mean signal.
+    // 21 trials split into Monte-Carlo chunks of 16 + 5: two full
+    // 8-lane blocks, then a partial 5-of-8 block.  The sweep must
+    // reproduce a per-trial reference built here from the same
+    // Rng(seed, trial) draws, one ReferenceSimulator run per trial,
+    // and the chunk-ordered sum: same failure count, bitwise-identical
+    // mean signal, with the SIMD lane kernels on and off.
     const SaParams sa;
     MismatchParams mc;
     mc.avtVnm = 9.0;
-    mc.trials = 24;
+    mc.trials = 21;
     TranParams tran = defaultSaTran();
     tran.dt = 50e-12;
 
-    tran.batchLanes = 1;
-    const YieldResult ref = sensingYield(sa, mc, tran);
+    SaSchedule sched;
+    const Netlist net = buildSaTestbench(sa, sched);
+    TranParams tp = tran;
+    tp.tstop = sched.tEnd;
+    size_t failures = 0;
+    double total = 0.0;
+    for (size_t t0 = 0; t0 < mc.trials; t0 += 16) {
+        const size_t t1 = std::min<size_t>(t0 + 16, mc.trials);
+        double chunk = 0.0;
+        for (size_t trial = t0; trial < t1; ++trial) {
+            Netlist patched = net;
+            hifi::common::Rng rng(mc.seed, trial);
+            for (auto &fet : patched.mosfets())
+                if (fet.name == "Mn1" || fet.name == "Mn2" ||
+                    fet.name == "Mp1" || fet.name == "Mp2")
+                    fet.vthDelta = rng.gaussian(
+                        0.0, vthSigma(fet.widthNm, fet.lengthNm,
+                                      mc.avtVnm));
+            const SaRun run = analyzeActivation(
+                sa, sched, ReferenceSimulator(patched).run(tp), tp.dt);
+            failures += run.latchedCorrectly ? 0 : 1;
+            chunk += std::abs(run.signalBeforeLatch);
+        }
+        total += chunk;
+    }
+    const double meanSignal = total / static_cast<double>(mc.trials);
 
-    for (const int lanes : {3, 5, 8}) {
-        tran.batchLanes = lanes;
+    for (const bool simd : {true, false}) {
+        std::optional<hifi::common::simd::ScopedForceScalar> off;
+        if (!simd)
+            off.emplace();
         const YieldResult got = sensingYield(sa, mc, tran);
-        EXPECT_EQ(got.trials, ref.trials) << "lanes " << lanes;
-        EXPECT_EQ(got.failures, ref.failures) << "lanes " << lanes;
-        EXPECT_EQ(std::memcmp(&got.meanSignal, &ref.meanSignal,
+        EXPECT_EQ(got.trials, mc.trials);
+        EXPECT_EQ(got.failures, failures) << "simd " << simd;
+        EXPECT_EQ(std::memcmp(&got.meanSignal, &meanSignal,
                               sizeof(double)),
                   0)
-            << "lanes " << lanes << ": meanSignal bits differ";
+            << "simd " << simd << ": meanSignal bits differ";
     }
+}
 
-    // And the portable (SIMD-off) batched path.
-    {
-        hifi::common::simd::ScopedForceScalar off;
-        tran.batchLanes = 8;
-        const YieldResult got = sensingYield(sa, mc, tran);
-        EXPECT_EQ(got.failures, ref.failures);
-        EXPECT_EQ(std::memcmp(&got.meanSignal, &ref.meanSignal,
-                              sizeof(double)),
-                  0);
+TEST(Simulator, PatchedVthDeltaReachesTheNextRun)
+{
+    // SaTestbench keeps one Simulator over its own netlist.  A
+    // vthDelta patched between simulate() calls must reach the next
+    // run: both runs match the reference over an equally patched copy.
+    const SaParams p;
+    SaTestbench bench(p);
+    TranParams tp = defaultSaTran();
+    tp.dt = 50e-12;
+    TranParams rtp = tp;
+    rtp.tstop = bench.schedule().tEnd;
+    Netlist copy = bench.netlist();
+
+    const SaRun first = bench.simulate(tp);
+    expectBitwiseEqual(first.tran, ReferenceSimulator(copy).run(rtp),
+                       "before patch");
+
+    for (size_t i = 0; i < copy.mosfets().size(); ++i) {
+        if (copy.mosfets()[i].name != "Mn1")
+            continue;
+        bench.netlist().mosfet(i).vthDelta = 0.05;
+        copy.mosfet(i).vthDelta = 0.05;
     }
+    const SaRun second = bench.simulate(tp);
+    expectBitwiseEqual(second.tran, ReferenceSimulator(copy).run(rtp),
+                       "after patch");
 }
 
 } // namespace
