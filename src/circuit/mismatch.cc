@@ -62,8 +62,8 @@ sensingYield(const SaParams &base, const MismatchParams &params,
         }
     }
 
-    // Trials per BatchSimulator block: the width bench_solver
-    // measured fastest (16 lanes ran slower than 8, see DESIGN.md).
+    // Trials per BatchSimulator block: the fastest width measured
+    // (16 lanes ran slower than 8, see DESIGN.md).
     // Each lane runs the per-trial arithmetic, so the width never
     // changes a result.
     constexpr size_t kLanes = 8;

@@ -64,6 +64,35 @@ busyClockNs()
 /// parallel calls from such a thread run serially to avoid deadlock.
 thread_local bool t_inside_pool = false;
 
+/// True while an enclosing fan-out level times this thread's busy
+/// time.  Not t_inside_pool: setting that on the one-chunk serial
+/// path would serialize the fan-outs nested under it.
+thread_local bool t_busy_timed = false;
+
+/// This thread's busy time in one fan-out, counted only at its
+/// outermost level: a nested fan-out runs inside time already counted.
+struct BusyTimer
+{
+    const bool outermost;
+    const uint64_t t0 = outermost ? busyClockNs() : 0;
+
+    explicit BusyTimer(bool instrumented)
+        : outermost(instrumented && !t_busy_timed)
+    {
+        if (outermost)
+            t_busy_timed = true;
+    }
+    ~BusyTimer()
+    {
+        if (outermost)
+            t_busy_timed = false;
+    }
+    BusyTimer(const BusyTimer &) = delete;
+    BusyTimer &operator=(const BusyTimer &) = delete;
+
+    uint64_t elapsedNs() const { return outermost ? busyClockNs() - t0 : 0; }
+};
+
 size_t
 defaultThreadCount()
 {
@@ -135,7 +164,7 @@ struct ThreadPool::Impl
         const bool instrumented = telemetry::enabled();
         const telemetry::detail::ScopedSessionBinding bind(
             j.telemetryBinding);
-        const uint64_t t0 = instrumented ? busyClockNs() : 0;
+        const BusyTimer busy(instrumented);
         size_t executed = 0;
 
         t_inside_pool = true;
@@ -164,7 +193,7 @@ struct ThreadPool::Impl
         if (instrumented && executed > 0) {
             PoolMetrics &m = PoolMetrics::get();
             m.chunks.add(executed);
-            m.busyNs.add(busyClockNs() - t0);
+            m.busyNs.add(busy.elapsedNs());
         }
     }
 
@@ -263,13 +292,13 @@ ThreadPool::run(size_t chunks, const std::function<void(size_t)> &body)
         m.workers.set(static_cast<double>(impl_->threads));
     }
     if (chunks == 1 || t_inside_pool || impl_->threads <= 1) {
-        const uint64_t t0 = instrumented ? busyClockNs() : 0;
+        const BusyTimer busy(instrumented);
         for (size_t i = 0; i < chunks; ++i)
             body(i);
         if (instrumented) {
             PoolMetrics &m = PoolMetrics::get();
             m.chunks.add(chunks);
-            m.busyNs.add(busyClockNs() - t0);
+            m.busyNs.add(busy.elapsedNs());
         }
         return;
     }

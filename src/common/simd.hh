@@ -23,7 +23,7 @@
  * div/sqrt are exactly rounded, integer histogram counts are exact
  * under any accumulation order, and no FMA contraction is introduced),
  * so results are bitwise identical on either path — asserted by
- * tests/test_image.cc and the bench_imaging equivalence checks.
+ * tests/test_image.cc, tests/test_fab_scope.cc and tests/test_circuit.cc.
  */
 
 #ifndef HIFI_COMMON_SIMD_HH

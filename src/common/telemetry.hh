@@ -292,8 +292,8 @@ registry()
 /**
  * Peak resident set size of this process in bytes (the kernel's
  * high-water mark, VmHWM in /proc/self/status).  0 on platforms
- * without procfs.  This is the number the bench harnesses record so
- * memory regressions are tracked alongside time.
+ * without procfs.  perfbench reports it as `peak_rss_mib`, so memory
+ * regressions are tracked alongside time.
  */
 size_t peakRssBytes();
 
@@ -303,9 +303,9 @@ size_t currentRssBytes();
 /**
  * Register an atexit hook that prints "peak RSS: N MiB" to stderr
  * when the process ends (covering every return path, including early
- * failure exits).  Idempotent; every bench harness calls this first
- * thing in main so memory is recorded alongside time.  No output on
- * platforms without procfs.
+ * failure exits).  Idempotent; every paper-figure bench calls this
+ * first thing in main so memory is recorded alongside time.  No
+ * output on platforms without procfs.
  */
 void reportPeakRssAtExit();
 
@@ -427,41 +427,6 @@ void clearTrace();
 
 /// Write `text` to `path`; returns false (and warns) on I/O failure.
 bool writeTextFile(const std::string &path, const std::string &text);
-
-// ---- Trace validation ----------------------------------------------
-
-/** Options for validateChromeTrace. */
-struct TraceCheckOptions
-{
-    /// Minimum number of distinct span names.
-    size_t minDistinctNames = 1;
-
-    /// Name prefixes that must each appear on at least one span
-    /// (e.g. {"fab", "scope"} matches "fab.voxelize").
-    std::vector<std::string> requiredPrefixes;
-};
-
-/** What the validator found. */
-struct TraceStats
-{
-    size_t events = 0;
-    size_t distinctNames = 0;
-    std::vector<std::string> names; ///< sorted distinct names
-};
-
-/**
- * Validate a Chrome trace_event JSON document: well-formed JSON, a
- * `traceEvents` array of "X" events with string `name` and numeric
- * `ts` / `dur` / `pid` / `tid`, per-thread spans properly nested
- * (intervals on one tid are disjoint or contained, never partially
- * overlapping), plus the checks in `options`.  Returns true on
- * success; on failure `error` (when non-null) explains the first
- * violation.  `stats` (when non-null) is filled on success.
- */
-bool validateChromeTrace(const std::string &json,
-                         const TraceCheckOptions &options = {},
-                         std::string *error = nullptr,
-                         TraceStats *stats = nullptr);
 
 } // namespace telemetry
 } // namespace hifi

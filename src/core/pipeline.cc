@@ -126,31 +126,6 @@ scoreSiliconDefects(SiliconDefectReport &rep)
 namespace
 {
 
-/**
- * Pipeline body; assumes the configuration already validated.  The
- * stage bodies live in core/stages.cc — this runner drives them
- * back-to-back through one span and one thread-count override, so an
- * uninterrupted run produces the exact trace shape (and, stage by
- * stage, the exact report) the monolithic implementation did.  The
- * campaign service drives the same bodies one runStage call at a
- * time, checkpointing between them.
- */
-common::Result<PipelineReport>
-runValidatedPipeline(const PipelineConfig &config)
-{
-    const telemetry::Span span("pipeline.run");
-    const common::ScopedThreads threads(config.threads);
-
-    StagedState state;
-    const models::ChipSpec &chip = models::chip(config.chipId);
-    state.report.chipId = chip.id;
-    state.report.trueTopology = chip.topology;
-    while (state.next != Stage::Done)
-        if (const auto err = detail::runStageUnguarded(config, state))
-            return common::Result<PipelineReport>(*err);
-    return common::Result<PipelineReport>(std::move(state.report));
-}
-
 /// Map a typed error onto the exception taxonomy the throwing entry
 /// point has always used: unknown ids surface as std::out_of_range,
 /// bad parameters as std::invalid_argument.
@@ -165,25 +140,10 @@ throwLegacy(const common::Error &err)
     throw std::runtime_error(err.message);
 }
 
-/**
- * End an active session into the report: attach the collected spans
- * and metric deltas, and write the QC audit trail if a path was
- * configured (the trace / metrics files are written by finish()).
- */
-void
-finishTelemetry(telemetry::Session &session,
-                const PipelineConfig &config, PipelineReport &report)
-{
-    report.telemetry = session.finish(config.telemetry);
-    if (!config.telemetry.qcAuditPath.empty())
-        telemetry::writeTextFile(config.telemetry.qcAuditPath,
-                                 scope::qcAuditJson(report.qcAudit));
-}
-
 } // namespace
 
-PipelineReport
-runPipeline(const PipelineConfig &config)
+common::Result<PipelineReport>
+runPipelineChecked(const PipelineConfig &config)
 {
     // Bind the session to this thread (and, via the pool, to every
     // fan-out it spawns) so concurrent runs attribute their spans
@@ -197,44 +157,51 @@ runPipeline(const PipelineConfig &config)
     {
         const telemetry::Span vspan("pipeline.validate");
         if (const auto err = validateConfig(config))
-            throwLegacy(*err);
-    }
-    auto result = runValidatedPipeline(config);
-    if (!result.ok())
-        throwLegacy(result.error());
-    PipelineReport report = result.takeValue();
-    if (session)
-        finishTelemetry(*session, config, report);
-    return report;
-}
-
-common::Result<PipelineReport>
-runPipelineChecked(const PipelineConfig &config)
-{
-    std::optional<telemetry::Session> session;
-    std::optional<telemetry::SessionBind> bind;
-    if (config.telemetry.enabled) {
-        session.emplace();
-        bind.emplace(*session);
-    }
-    {
-        const telemetry::Span vspan("pipeline.validate");
-        if (const auto err = validateConfig(config))
             return common::Result<PipelineReport>(*err);
     }
     try {
-        auto result = runValidatedPipeline(config);
-        if (!result.ok())
-            return result;
-        PipelineReport report = result.takeValue();
-        if (session)
-            finishTelemetry(*session, config, report);
+        // The stage bodies live in core/stages.cc; this runner drives
+        // them back-to-back under one span and one thread-count
+        // override.  The campaign service drives the same bodies one
+        // runStage call at a time, checkpointing between them.
+        PipelineReport report;
+        {
+            const telemetry::Span span("pipeline.run");
+            const common::ScopedThreads threads(config.threads);
+            StagedState state;
+            const models::ChipSpec &chip = models::chip(config.chipId);
+            state.report.chipId = chip.id;
+            state.report.trueTopology = chip.topology;
+            while (state.next != Stage::Done)
+                if (const auto err =
+                        detail::runStageUnguarded(config, state))
+                    return common::Result<PipelineReport>(*err);
+            report = std::move(state.report);
+        }
+        // finish() writes the trace and metrics files; the QC audit
+        // trail is written here.
+        if (session) {
+            report.telemetry = session->finish(config.telemetry);
+            if (!config.telemetry.qcAuditPath.empty())
+                telemetry::writeTextFile(
+                    config.telemetry.qcAuditPath,
+                    scope::qcAuditJson(report.qcAudit));
+        }
         return common::Result<PipelineReport>(std::move(report));
     } catch (const std::exception &e) {
         return common::Result<PipelineReport>::failure(
             common::ErrorCode::Internal,
             std::string("pipeline failed: ") + e.what());
     }
+}
+
+PipelineReport
+runPipeline(const PipelineConfig &config)
+{
+    auto result = runPipelineChecked(config);
+    if (!result.ok())
+        throwLegacy(result.error());
+    return result.takeValue();
 }
 
 } // namespace core

@@ -278,22 +278,24 @@ struct PipelineReport
 };
 
 /**
- * Run the full pipeline on one chip configuration.
- *
- * Throws on invalid configurations (std::out_of_range for unknown
- * chip ids, std::invalid_argument otherwise) — use runPipelineChecked
- * for typed errors instead of exceptions.
- */
-PipelineReport runPipeline(const PipelineConfig &config);
-
-/**
- * Exception-free pipeline entry point: validates the configuration up
- * front and converts any internal failure into a typed error, so
- * production callers always get either a report (possibly with
- * `degraded` set) or an Error — never a crash.
+ * Run the full pipeline on one chip configuration.  The pipeline's
+ * one entry point: it validates the configuration up front and
+ * converts any internal failure into a typed error, so production
+ * callers always get either a report (possibly with `degraded` set)
+ * or an Error — never a crash.  An exception escaping a stage becomes
+ * ErrorCode::Internal with the message "pipeline failed: <what>".
  */
 common::Result<PipelineReport>
 runPipelineChecked(const PipelineConfig &config);
+
+/**
+ * Throwing shim over runPipelineChecked.  Invalid configurations throw
+ * std::out_of_range for unknown chip ids and std::invalid_argument
+ * otherwise; any other error, including an internal failure, throws
+ * std::runtime_error with the error's message (for an internal
+ * failure, "pipeline failed: <what>").
+ */
+PipelineReport runPipeline(const PipelineConfig &config);
 
 /** Repeatability over independent acquisitions (different seeds). */
 struct Repeatability

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/parallel.hh"
@@ -788,11 +789,40 @@ TEST(Fib, CleanFrameCacheCountersAppearInTelemetry)
               robust.stack.slices.size());
 }
 
+/// Per-voxel SEM frame formation: the contrast switch and shading
+/// arithmetic that semImageClean hoists into a per-material table.
+image::Image2D
+semImageCleanReference(const image::Volume3D &materials, size_t x0,
+                       size_t slice_voxels,
+                       const scope::SemParams &params)
+{
+    const bool se = params.detector == Detector::Se;
+    const double q = se ? params.seQuality : 1.0;
+    const double pivot = 0.45;
+    const size_t x1 = std::min(materials.nx(), x0 + slice_voxels);
+    image::Image2D img(materials.ny(), materials.nz());
+    for (size_t z = 0; z < materials.nz(); ++z) {
+        for (size_t y = 0; y < materials.ny(); ++y) {
+            double sum = 0.0;
+            for (size_t x = x0; x < x1; ++x) {
+                const double c = scope::materialContrast(
+                    fab::voxelMaterial(materials.at(x, y, z)),
+                    params.detector);
+                sum += pivot + (c - pivot) * q;
+            }
+            img.at(y, z) = static_cast<float>(
+                sum / static_cast<double>(x1 - x0));
+        }
+    }
+    return img;
+}
+
 TEST(Sem, SimdShadingMatchesPortableScalarBitwise)
 {
     // Odd dims plus fractional and out-of-range voxel codes: the
     // gathered LUT path must decode (round, clamp-to-Oxide) exactly
-    // like the scalar voxelMaterial() loop, bit for bit.
+    // like the scalar voxelMaterial() loop, bit for bit, and both
+    // must equal the per-voxel reference.
     image::Volume3D vol(19, 13, 7);
     common::Rng rng(3, 1);
     for (size_t z = 0; z < 7; ++z)
@@ -810,13 +840,19 @@ TEST(Sem, SimdShadingMatchesPortableScalarBitwise)
         common::simd::ScopedForceScalar off;
         const image::Image2D portable =
             scope::semImageClean(vol, 2, 15, sp);
-        ASSERT_EQ(fast.width(), portable.width());
-        ASSERT_EQ(fast.height(), portable.height());
-        EXPECT_EQ(std::memcmp(fast.data().data(),
-                              portable.data().data(),
-                              fast.size() * sizeof(float)),
-                  0)
-            << "detector " << (det == Detector::Se ? "SE" : "BSE");
+        const image::Image2D reference =
+            semImageCleanReference(vol, 2, 15, sp);
+        for (const image::Image2D *img : {&fast, &portable}) {
+            ASSERT_EQ(img->width(), reference.width());
+            ASSERT_EQ(img->height(), reference.height());
+            EXPECT_EQ(std::memcmp(img->data().data(),
+                                  reference.data().data(),
+                                  img->size() * sizeof(float)),
+                      0)
+                << (img == &fast ? "active ISA" : "portable")
+                << ", detector "
+                << (det == Detector::Se ? "SE" : "BSE");
+        }
     }
 }
 

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -370,6 +372,49 @@ TEST(PoolInstrumentation, TelemetryDoesNotPerturbKernelOutput)
         "pool.chunks_per_job");
     ASSERT_NE(hist, collected->metrics.histograms.end());
     EXPECT_EQ(hist->second.count, jobs->second);
+}
+
+TEST(PoolInstrumentation, NestedFanOutBusyTimeIsCountedOnce)
+{
+    // Every chunk of the outer fan-out spends its time in a nested
+    // one.  Busy time counts each thread once, so it can never exceed
+    // the wall time times the worker count.  Six outer chunks on four
+    // workers leave two idle for half the run: counted once, busy
+    // time is ~3/4 of the bound; counted twice, ~3/2.
+    for (const size_t threads : {1u, 4u}) {
+        const common::ScopedThreads scoped(threads);
+        std::vector<double> sums(6, 0.0);
+        telemetry::Session session;
+        const auto t0 = std::chrono::steady_clock::now();
+        common::parallelFor(0, sums.size(), 1, [&](size_t b, size_t e) {
+            for (size_t i = b; i < e; ++i) {
+                std::vector<double> partial(16, 0.0);
+                common::parallelFor(0, 16, 1, [&](size_t ib, size_t ie) {
+                    for (size_t j = ib; j < ie; ++j)
+                        for (size_t k = 0; k < 100000; ++k)
+                            partial[j] += std::sqrt(
+                                static_cast<double>(i + j + k));
+                });
+                for (const double p : partial)
+                    sums[i] += p;
+            }
+        });
+        const auto wall_ns = static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+        const auto collected = session.finish({});
+
+        ASSERT_TRUE(collected != nullptr);
+        const auto busy =
+            collected->metrics.counters.find("pool.worker_busy_ns");
+        ASSERT_NE(busy, collected->metrics.counters.end());
+        EXPECT_GT(busy->second, 0u);
+        EXPECT_LE(busy->second, wall_ns * threads)
+            << threads << " threads";
+        for (const double sum : sums)
+            EXPECT_GT(sum, 0.0);
+    }
 }
 
 } // namespace

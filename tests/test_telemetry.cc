@@ -14,16 +14,22 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "circuit/mismatch.hh"
 #include "common/log.hh"
 #include "common/parallel.hh"
 #include "common/telemetry.hh"
 #include "core/pipeline.hh"
+#include "fab/sa_region.hh"
+#include "fab/voxelizer.hh"
 #include "scope/fib.hh"
+#include "trace_validate.hh"
 
 namespace
 {
@@ -266,6 +272,32 @@ TEST(TraceCheck, RejectsPartialOverlapAcceptsNesting)
     EXPECT_NE(error.find("solver"), std::string::npos);
 }
 
+TEST(TraceCheck, SolverAndFabSpansCoverTheirPrefixes)
+{
+    // A short Monte-Carlo sweep and a voxelization under one session
+    // export a well-formed trace with solver.* and fab.* spans.
+    telemetry::Session session;
+    circuit::SaParams base;
+    circuit::MismatchParams mc;
+    mc.trials = 4;
+    circuit::TranParams tp = circuit::defaultSaTran();
+    tp.dt = 50e-12;
+    (void)circuit::sensingYield(base, mc, tp);
+    fab::SaRegionSpec spec;
+    spec.pairs = 1;
+    fab::SaRegionTruth truth;
+    const auto cell = fab::buildSaRegion(spec, truth);
+    (void)fab::voxelize(*cell, truth.region, {5.0, 270.0});
+    const auto collected = session.finish({});
+
+    std::string error;
+    telemetry::TraceCheckOptions options;
+    options.requiredPrefixes = {"solver", "fab"};
+    EXPECT_TRUE(telemetry::validateChromeTrace(collected->traceJson(),
+                                               options, &error))
+        << error;
+}
+
 // ---- Logging upgrades ----------------------------------------------
 
 TEST(Log, DebugLevelAndCaptureSink)
@@ -453,6 +485,12 @@ TEST(PipelineTelemetry, TraceCoversThePipelineStages)
     config.seed = 7;
     config.faults.enabled = true;
     config.telemetry.enabled = true;
+    // The exported files feed the trace_check_pipeline ctest, which
+    // runs the hifi_trace_check CLI on the trace.
+    const std::string out = std::string(HIFI_TEST_OUTPUT_DIR) + "/";
+    config.telemetry.tracePath = out + "pipeline.trace.json";
+    config.telemetry.metricsPath = out + "pipeline.metrics.json";
+    config.telemetry.qcAuditPath = out + "pipeline.qc_audit.json";
 
     const auto report = core::runPipeline(config);
     ASSERT_TRUE(report.telemetry != nullptr);
@@ -500,6 +538,18 @@ TEST(PipelineTelemetry, TraceCoversThePipelineStages)
     // Pool instrumentation flowed into the same export.
     EXPECT_TRUE(t.metrics.counters.count("pool.jobs"));
     EXPECT_GT(t.metrics.counters.at("pool.jobs"), 0u);
+
+    // Each export landed on disk as exactly what the report holds.
+    auto slurp = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        std::stringstream buffer;
+        buffer << in.rdbuf();
+        return buffer.str();
+    };
+    EXPECT_EQ(slurp(config.telemetry.tracePath), t.traceJson());
+    EXPECT_EQ(slurp(config.telemetry.metricsPath), t.metricsJson());
+    EXPECT_EQ(slurp(config.telemetry.qcAuditPath),
+              scope::qcAuditJson(report.qcAudit));
 }
 
 // ---- Concurrent sessions -------------------------------------------

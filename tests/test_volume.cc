@@ -364,20 +364,27 @@ TEST(TiledVolume, StreamedWritesMatchDenseUnderDirtyBudget)
     for (size_t i = 0; i < 30 * 19 * 13; ++i)
         dense.mutableData()[i] = static_cast<float>(rng.uniform());
 
+    // Resident budget of two 8^3 tiles, dirty budget of one: every
+    // cross-section write churns seals and evictions, which must
+    // neither change the content nor let the store outgrow its
+    // budget.
+    const size_t tile_bytes = 8 * 8 * 8 * sizeof(float);
     TileStoreConfig cfg;
     cfg.dir = scratchDir("streamwrite");
+    cfg.budgetBytes = 2 * tile_bytes;
     TileStore store(std::move(cfg));
 
-    // Dirty budget of exactly one 8^3 tile: every cross-section write
-    // churns seals, which must not change the content.
-    auto made = TiledVolume3D::create(30, 19, 13, store, 8,
-                                      8 * 8 * 8 * sizeof(float));
+    auto made = TiledVolume3D::create(30, 19, 13, store, 8, tile_bytes);
     ASSERT_TRUE(made.ok());
     TiledVolume3D tiled = made.takeValue();
-    for (size_t x = 0; x < 30; ++x)
+    for (size_t x = 0; x < 30; ++x) {
         ASSERT_FALSE(
             tiled.setCrossSection(x, dense.crossSection(x)));
+        ASSERT_LE(store.residentBytes(), store.budgetBytes())
+            << "after cross-section " << x;
+    }
     ASSERT_FALSE(tiled.sealAll());
+    EXPECT_GT(store.stats().evictions, 0u);
 
     auto back = tiled.toDense();
     ASSERT_TRUE(back.ok());

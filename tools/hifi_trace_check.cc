@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "common/telemetry.hh"
+#include "trace_validate.hh"
 
 namespace
 {
