@@ -9,10 +9,6 @@
 #include <mutex>
 #include <sstream>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include "common/log.hh"
 
 namespace hifi
@@ -754,22 +750,6 @@ peakRssBytes()
     return procStatusKb("VmHWM:") * 1024;
 }
 
-size_t
-currentRssBytes()
-{
-    return procStatusKb("VmRSS:") * 1024;
-}
-
-size_t
-heapAllocatedBytes()
-{
-#if defined(__GLIBC__)
-    return mallinfo2().uordblks;
-#else
-    return 0;
-#endif
-}
-
 void
 reportPeakRssAtExit()
 {
@@ -785,20 +765,6 @@ reportPeakRssAtExit()
                      static_cast<double>(peak) /
                          (1024.0 * 1024.0));
     });
-}
-
-void
-recordMemoryGauges()
-{
-    registry()
-        .gauge("mem.peak_rss_bytes")
-        .set(static_cast<double>(peakRssBytes()));
-    registry()
-        .gauge("mem.rss_bytes")
-        .set(static_cast<double>(currentRssBytes()));
-    registry()
-        .gauge("mem.heap_allocated_bytes")
-        .set(static_cast<double>(heapAllocatedBytes()));
 }
 
 } // namespace telemetry

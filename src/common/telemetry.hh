@@ -297,9 +297,6 @@ registry()
  */
 size_t peakRssBytes();
 
-/// Current resident set size in bytes (VmRSS); 0 without procfs.
-size_t currentRssBytes();
-
 /**
  * Register an atexit hook that prints "peak RSS: N MiB" to stderr
  * when the process ends (covering every return path, including early
@@ -308,18 +305,6 @@ size_t currentRssBytes();
  * output on platforms without procfs.
  */
 void reportPeakRssAtExit();
-
-/**
- * Bytes currently handed out by the allocator (glibc mallinfo2
- * uordblks); 0 on other C libraries.  Unlike RSS this shrinks when
- * memory is freed, so peakRssBytes() - heapAllocatedBytes() exposes
- * high-water transients that RSS alone hides.
- */
-size_t heapAllocatedBytes();
-
-/// Refresh the "mem.peak_rss_bytes", "mem.rss_bytes" and
-/// "mem.heap_allocated_bytes" gauges from the sources above.
-void recordMemoryGauges();
 
 // ---- Sessions and export -------------------------------------------
 

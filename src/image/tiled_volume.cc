@@ -106,16 +106,26 @@ TiledVolume3D::fromDigests(size_t nx, size_t ny, size_t nz,
                            TileStore &store)
 {
     using R = common::Result<TiledVolume3D>;
+    // Match the grid against the digest count before create() sizes
+    // the slot table: corrupt dimensions must not ask for a huge one.
+    const size_t count = digests.size();
+    const auto along = [&](size_t n) {
+        return tileEdge == 0 ? 0 : n / tileEdge + (n % tileEdge != 0);
+    };
+    const size_t tx = along(nx), ty = along(ny), tz = along(nz);
+    if (tx != 0 && ty != 0 && tz != 0 &&
+        (ty > count / tx || tz > count / (tx * ty) ||
+         tx * ty * tz != count))
+        return R::failure(
+            common::ErrorCode::DataLoss,
+            "TiledVolume3D::fromDigests: " + std::to_string(count) +
+                " digests for a " + std::to_string(tx) + " x " +
+                std::to_string(ty) + " x " + std::to_string(tz) +
+                " tile grid");
     auto made = create(nx, ny, nz, store, tileEdge);
     if (!made.ok())
         return made;
     TiledVolume3D v = made.takeValue();
-    if (digests.size() != v.slots_.size())
-        return R::failure(
-            common::ErrorCode::DataLoss,
-            "TiledVolume3D::fromDigests: " +
-                std::to_string(digests.size()) + " digests for " +
-                std::to_string(v.slots_.size()) + " tiles");
     for (size_t i = 0; i < digests.size(); ++i) {
         if (!store.contains(digests[i]))
             return R::failure(

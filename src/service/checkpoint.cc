@@ -16,8 +16,10 @@ namespace
 {
 
 constexpr uint64_t kMagic = 0x48494649434b5031ull; // "HIFICKP1"
-constexpr uint32_t kVersion = 1;      ///< artifact voxels inline
-constexpr uint32_t kVersionTiled = 2; ///< artifacts as tile digests
+
+/// Artifacts as tile digests.  Version 1 embedded the voxels inline;
+/// it is retired, and such an image fails as an unsupported version.
+constexpr uint32_t kVersion = 2;
 
 // ---- Byte-stream primitives ---------------------------------------
 // Native-endian binary encoding: a checkpoint resumes on the machine
@@ -68,14 +70,6 @@ struct Writer
         d(r.y0);
         d(r.x1);
         d(r.y1);
-    }
-
-    void
-    floats(const std::vector<float> &v)
-    {
-        u64(v.size());
-        out.append(reinterpret_cast<const char *>(v.data()),
-                   v.size() * sizeof(float));
     }
 };
 
@@ -155,21 +149,6 @@ struct Reader
         r.x1 = d();
         r.y1 = d();
         return r;
-    }
-
-    std::vector<float>
-    floats()
-    {
-        const uint64_t n = u64();
-        if (!ok || in.size() - pos < n * sizeof(float) ||
-            n > in.size()) {
-            ok = false;
-            return {};
-        }
-        std::vector<float> v(n);
-        std::memcpy(v.data(), in.data() + pos, n * sizeof(float));
-        pos += n * sizeof(float);
-        return v;
     }
 };
 
@@ -509,149 +488,55 @@ readReport(Reader &rd)
 }
 
 // ---- Artifacts ----------------------------------------------------
+// Voxels live in the content-addressed tile store; the checkpoint
+// image holds dimensions + tile digests.  A corrupted or missing tile
+// surfaces as DataLoss when fetched — the same taxonomy as a torn
+// checkpoint file, and never a silent resume.
 
-void
-writeImage(Writer &w, const image::Image2D &img)
-{
-    w.u64(img.width());
-    w.u64(img.height());
-    w.floats(img.data());
-}
-
-image::Image2D
-readImage(Reader &rd)
-{
-    const uint64_t width = rd.u64();
-    const uint64_t height = rd.u64();
-    std::vector<float> data = rd.floats();
-    if (!rd.ok || data.size() != width * height) {
-        rd.ok = false;
-        return {};
-    }
-    image::Image2D img(width, height);
-    img.data() = std::move(data);
-    return img;
-}
-
-void
-writeVolume(Writer &w, const image::Volume3D &v)
-{
-    w.u64(v.nx());
-    w.u64(v.ny());
-    w.u64(v.nz());
-    const size_t n = v.nx() * v.ny() * v.nz();
-    w.u64(n);
-    w.out.append(reinterpret_cast<const char *>(v.data()),
-                 n * sizeof(float));
-}
-
-std::shared_ptr<image::Volume3D>
-readVolume(Reader &rd)
-{
-    const uint64_t nx = rd.u64();
-    const uint64_t ny = rd.u64();
-    const uint64_t nz = rd.u64();
-    std::vector<float> data = rd.floats();
-    if (!rd.ok || data.size() != nx * ny * nz) {
-        rd.ok = false;
-        return nullptr;
-    }
-    auto v = std::make_shared<image::Volume3D>(nx, ny, nz);
-    for (size_t x = 0; x < nx; ++x)
-        for (size_t y = 0; y < ny; ++y)
-            for (size_t z = 0; z < nz; ++z)
-                v->at(x, y, z) = data[(z * ny + y) * nx + x];
-    return v;
-}
-
-/// Per-slice metadata shared by the inline and tiled stack formats.
-void
-writeStackMeta(Writer &w, const image::SliceStack &s)
-{
-    w.u64(s.trueDrift.size());
-    for (const auto &[dy, dz] : s.trueDrift) {
-        w.i64(dy);
-        w.i64(dz);
-    }
-    w.u64(s.provenance.size());
-    for (const auto &p : s.provenance) {
-        w.i64(p.injectedFault);
-        w.u8(p.firstAttemptFlagged);
-        w.u64(p.firstAttemptFlags);
-        w.u64(p.attempts);
-        w.i64(p.acceptedFault);
-        w.u8(p.accepted);
-        w.u8(p.interpolated);
-        w.u8(p.unrecoverable);
-    }
-    w.d(s.sliceThicknessNm);
-    w.d(s.pixelResolutionNm);
-}
-
-void
-writeStack(Writer &w, const image::SliceStack &s)
-{
-    w.u64(s.slices.size());
-    for (const auto &img : s.slices)
-        writeImage(w, img);
-    writeStackMeta(w, s);
-}
-
-void
-readStackMeta(Reader &rd, image::SliceStack &s)
-{
-    const uint64_t drifts = rd.u64();
-    for (uint64_t i = 0; rd.ok && i < drifts; ++i) {
-        const long dy = static_cast<long>(rd.i64());
-        const long dz = static_cast<long>(rd.i64());
-        s.trueDrift.emplace_back(dy, dz);
-    }
-    const uint64_t prov = rd.u64();
-    for (uint64_t i = 0; rd.ok && i < prov; ++i) {
-        image::SliceProvenance p;
-        p.injectedFault = static_cast<int>(rd.i64());
-        p.firstAttemptFlagged = rd.u8();
-        p.firstAttemptFlags = static_cast<unsigned>(rd.u64());
-        p.attempts = rd.u64();
-        p.acceptedFault = static_cast<int>(rd.i64());
-        p.accepted = rd.u8();
-        p.interpolated = rd.u8();
-        p.unrecoverable = rd.u8();
-        s.provenance.push_back(p);
-    }
-    s.sliceThicknessNm = rd.d();
-    s.pixelResolutionNm = rd.d();
-}
-
-std::shared_ptr<image::SliceStack>
-readStack(Reader &rd)
-{
-    auto s = std::make_shared<image::SliceStack>();
-    const uint64_t slices = rd.u64();
-    for (uint64_t i = 0; rd.ok && i < slices; ++i)
-        s->slices.push_back(readImage(rd));
-    readStackMeta(rd, *s);
-    return rd.ok ? s : nullptr;
-}
-
-/// Artifact tags (which stage payload follows the report).
+/// Artifact tags (which stage payload follows the report).  The values
+/// are on disk; 3 belonged to the retired inline processed volume.
 enum ArtifactTag : uint8_t
 {
     kArtifactNone = 0,
     kArtifactMaterials = 1,
     kArtifactStack = 2,
-    kArtifactProcessed = 3,
 
-    /// v2 only: the postprocessed volume stays tiled across the
-    /// resume (stageAnalyze re-pins it from the store on demand).
-    kArtifactProcessedTiled = 4,
+    /// The postprocessed volume stays tiled across the resume
+    /// (stageAnalyze re-pins it from the store on demand).
+    kArtifactPostprocessed = 4,
 };
 
-// ---- Tiled (v2) artifacts ------------------------------------------
-// Voxels live in the content-addressed tile store; the checkpoint
-// image holds dimensions + tile digests.  A corrupted or missing tile
-// surfaces as DataLoss when fetched — the same taxonomy as a torn
-// checkpoint file, and never a silent resume.
+/// The one artifact a run resumed at `next` reads.  The encoder
+/// writes this tag and the decoder requires it, so an image whose
+/// cursor and artifact disagree is lost data, not a state that
+/// crashes the resumed stage.
+ArtifactTag
+artifactFor(core::Stage next)
+{
+    switch (next) {
+      case core::Stage::Acquire:
+        return kArtifactMaterials;
+      case core::Stage::Postprocess:
+        return kArtifactStack;
+      case core::Stage::Analyze:
+        return kArtifactPostprocessed;
+      default: // Fab, Finalize, Done
+        return kArtifactNone;
+    }
+}
+
+common::Error
+noTileStore()
+{
+    return {common::ErrorCode::FailedPrecondition,
+            "checkpoint: no tile store for the artifact voxels"};
+}
+
+common::Error
+truncated(const std::string &what)
+{
+    return {common::ErrorCode::DataLoss, "checkpoint: truncated " + what};
+}
 
 /// The store owns tile durability; a digest it cannot serve while a
 /// checkpoint references it is lost data, not a lookup miss.
@@ -678,8 +563,7 @@ writeTileGrid(Writer &w, size_t nx, size_t ny, size_t nz, size_t edge,
 }
 
 std::optional<common::Error>
-writeVolumeTiled(Writer &w, const image::Volume3D &v,
-                 image::TileStore &tiles)
+sealVolume(Writer &w, const image::Volume3D &v, image::TileStore &tiles)
 {
     auto tiled = image::TiledVolume3D::fromDense(v, tiles);
     if (!tiled.ok())
@@ -693,8 +577,33 @@ writeVolumeTiled(Writer &w, const image::Volume3D &v,
     return std::nullopt;
 }
 
+/// A tiled volume is usually already sealed into this very store (the
+/// service installs its store as state.tileStore before the stages
+/// run); only digests a *different* store produced, or a non-default
+/// tile edge, need a dense round trip.
+std::optional<common::Error>
+sealTiled(Writer &w, image::TiledVolume3D &v, image::TileStore &tiles)
+{
+    auto digests = v.digests();
+    if (!digests.ok())
+        return digests.error();
+    bool reusable =
+        v.tileEdge() == image::TiledVolume3D::kDefaultTileEdge;
+    for (const uint64_t d : digests.value())
+        reusable = reusable && tiles.contains(d);
+    if (reusable) {
+        writeTileGrid(w, v.nx(), v.ny(), v.nz(), v.tileEdge(),
+                      digests.value());
+        return std::nullopt;
+    }
+    auto dense = v.toDense();
+    if (!dense.ok())
+        return dense.error();
+    return sealVolume(w, dense.value(), tiles);
+}
+
 common::Result<image::TiledVolume3D>
-readTiledVolume(Reader &rd, image::TileStore &tiles)
+readTileGrid(Reader &rd, image::TileStore &tiles)
 {
     using R = common::Result<image::TiledVolume3D>;
     const uint64_t nx = rd.u64();
@@ -703,15 +612,19 @@ readTiledVolume(Reader &rd, image::TileStore &tiles)
     const uint64_t edge = rd.u64();
     const uint64_t count = rd.u64();
     if (!rd.ok || count > rd.in.size())
+        return R(truncated("tile grid"));
+    // Every writer seals at the default edge; any other value would
+    // index the fetched tiles with the wrong stride.
+    if (edge != image::TiledVolume3D::kDefaultTileEdge)
         return R::failure(common::ErrorCode::DataLoss,
-                          "checkpoint: truncated tile grid");
+                          "checkpoint: unexpected tile edge " +
+                              std::to_string(edge));
     std::vector<uint64_t> digests;
     digests.reserve(count);
     for (uint64_t i = 0; rd.ok && i < count; ++i)
         digests.push_back(rd.u64());
     if (!rd.ok)
-        return R::failure(common::ErrorCode::DataLoss,
-                          "checkpoint: truncated tile grid");
+        return R(truncated("tile grid"));
     auto tv = image::TiledVolume3D::fromDigests(
         nx, ny, nz, edge, std::move(digests), tiles);
     if (!tv.ok())
@@ -720,10 +633,10 @@ readTiledVolume(Reader &rd, image::TileStore &tiles)
 }
 
 common::Result<std::shared_ptr<image::Volume3D>>
-readVolumeTiled(Reader &rd, image::TileStore &tiles)
+fetchVolume(Reader &rd, image::TileStore &tiles)
 {
     using R = common::Result<std::shared_ptr<image::Volume3D>>;
-    auto tv = readTiledVolume(rd, tiles);
+    auto tv = readTileGrid(rd, tiles);
     if (!tv.ok())
         return R(tv.error());
     auto dense = tv.value().toDense();
@@ -732,9 +645,9 @@ readVolumeTiled(Reader &rd, image::TileStore &tiles)
     return R(std::make_shared<image::Volume3D>(dense.takeValue()));
 }
 
+/// Slice digests, then the per-slice metadata.
 std::optional<common::Error>
-writeStackTiled(Writer &w, const image::SliceStack &s,
-                image::TileStore &tiles)
+sealStack(Writer &w, const image::SliceStack &s, image::TileStore &tiles)
 {
     w.u64(s.slices.size());
     for (const auto &img : s.slices) {
@@ -745,19 +658,35 @@ writeStackTiled(Writer &w, const image::SliceStack &s,
             return digest.error();
         w.u64(digest.value());
     }
-    writeStackMeta(w, s);
+    w.u64(s.trueDrift.size());
+    for (const auto &[dy, dz] : s.trueDrift) {
+        w.i64(dy);
+        w.i64(dz);
+    }
+    w.u64(s.provenance.size());
+    for (const auto &p : s.provenance) {
+        w.i64(p.injectedFault);
+        w.u8(p.firstAttemptFlagged);
+        w.u64(p.firstAttemptFlags);
+        w.u64(p.attempts);
+        w.i64(p.acceptedFault);
+        w.u8(p.accepted);
+        w.u8(p.interpolated);
+        w.u8(p.unrecoverable);
+    }
+    w.d(s.sliceThicknessNm);
+    w.d(s.pixelResolutionNm);
     return std::nullopt;
 }
 
 common::Result<std::shared_ptr<image::SliceStack>>
-readStackTiled(Reader &rd, image::TileStore &tiles)
+fetchStack(Reader &rd, image::TileStore &tiles)
 {
     using R = common::Result<std::shared_ptr<image::SliceStack>>;
     auto s = std::make_shared<image::SliceStack>();
     const uint64_t slices = rd.u64();
     if (!rd.ok || slices > rd.in.size())
-        return R::failure(common::ErrorCode::DataLoss,
-                          "checkpoint: truncated stack");
+        return R(truncated("stack"));
     for (uint64_t i = 0; rd.ok && i < slices; ++i) {
         const uint64_t width = rd.u64();
         const uint64_t height = rd.u64();
@@ -767,21 +696,78 @@ readStackTiled(Reader &rd, image::TileStore &tiles)
         auto tile = tiles.fetch(digest);
         if (!tile.ok())
             return R(asTileLoss(tile.error()));
-        if (tile.value().size() != width * height)
+        // The division keeps a wrapped width * height from passing.
+        const size_t n = tile.value().size();
+        if (width == 0 || n / width != height || n % width != 0)
             return R::failure(
                 common::ErrorCode::DataLoss,
-                "checkpoint: slice tile size mismatch (expected " +
-                    std::to_string(width * height) + " floats, got " +
-                    std::to_string(tile.value().size()) + ")");
+                "checkpoint: slice tile size " + std::to_string(n) +
+                    " does not match " + std::to_string(width) +
+                    " x " + std::to_string(height));
         image::Image2D img(width, height);
         img.data() = *tile.value();
         s->slices.push_back(std::move(img));
     }
-    readStackMeta(rd, *s);
+
+    const uint64_t drifts = rd.u64();
+    for (uint64_t i = 0; rd.ok && i < drifts; ++i) {
+        const long dy = static_cast<long>(rd.i64());
+        const long dz = static_cast<long>(rd.i64());
+        s->trueDrift.emplace_back(dy, dz);
+    }
+    const uint64_t prov = rd.u64();
+    for (uint64_t i = 0; rd.ok && i < prov; ++i) {
+        image::SliceProvenance p;
+        p.injectedFault = static_cast<int>(rd.i64());
+        p.firstAttemptFlagged = rd.u8();
+        p.firstAttemptFlags = static_cast<unsigned>(rd.u64());
+        p.attempts = rd.u64();
+        p.acceptedFault = static_cast<int>(rd.i64());
+        p.accepted = rd.u8();
+        p.interpolated = rd.u8();
+        p.unrecoverable = rd.u8();
+        s->provenance.push_back(p);
+    }
+    s->sliceThicknessNm = rd.d();
+    s->pixelResolutionNm = rd.d();
     if (!rd.ok)
-        return R::failure(common::ErrorCode::DataLoss,
-                          "checkpoint: truncated stack");
+        return R(truncated("stack"));
     return R(std::move(s));
+}
+
+/// Seal the artifact artifactFor(state.next) names and write its tag
+/// and reference.
+std::optional<common::Error>
+writeArtifact(Writer &w, const core::StagedState &state,
+              image::TileStore &tiles)
+{
+    const ArtifactTag tag = artifactFor(state.next);
+    w.u8(tag);
+    const auto missing = [&] {
+        return common::Error{common::ErrorCode::FailedPrecondition,
+                             std::string("checkpoint: no artifact for "
+                                         "stage ") +
+                                 core::stageName(state.next)};
+    };
+    switch (tag) {
+      case kArtifactNone:
+        break;
+      case kArtifactMaterials:
+        if (!state.materials)
+            return missing();
+        return sealVolume(w, *state.materials, tiles);
+      case kArtifactStack:
+        if (!state.stack)
+            return missing();
+        return sealStack(w, *state.stack, tiles);
+      case kArtifactPostprocessed:
+        if (state.processedTiled)
+            return sealTiled(w, *state.processedTiled, tiles);
+        if (!state.processed)
+            return missing();
+        return sealVolume(w, *state.processed, tiles);
+    }
+    return std::nullopt;
 }
 
 } // namespace
@@ -802,10 +788,15 @@ fabDigest(const core::PipelineConfig &config)
     return fnv(w.out.data(), w.out.size());
 }
 
-std::string
+common::Result<std::string>
 encodeCheckpoint(const core::PipelineConfig &config,
-                 const core::StagedState &state)
+                 const core::StagedState &state,
+                 const std::shared_ptr<image::TileStore> &tiles)
 {
+    using R = common::Result<std::string>;
+    if (!tiles)
+        return R(noTileStore());
+
     Writer w;
     w.u64(kMagic);
     w.u32(kVersion);
@@ -814,110 +805,8 @@ encodeCheckpoint(const core::PipelineConfig &config,
     w.d(state.voxelNm);
     w.d(state.sliceThicknessNm);
     writeReport(w, state.report);
-
-    switch (state.next) {
-      case core::Stage::Acquire:
-        w.u8(kArtifactMaterials);
-        writeVolume(w, *state.materials);
-        break;
-      case core::Stage::Postprocess:
-        w.u8(kArtifactStack);
-        writeStack(w, *state.stack);
-        break;
-      case core::Stage::Analyze:
-        if (state.processed) {
-            w.u8(kArtifactProcessed);
-            writeVolume(w, *state.processed);
-        } else if (state.processedTiled) {
-            // A tiled artifact in a v1 image has to be materialized;
-            // callers on the memory-budgeted path should pass a tile
-            // store and get the v2 encoding instead.
-            auto dense = state.processedTiled->toDense();
-            if (dense.ok()) {
-                w.u8(kArtifactProcessed);
-                writeVolume(w, dense.value());
-            } else {
-                w.u8(kArtifactNone);
-            }
-        } else {
-            w.u8(kArtifactNone);
-        }
-        break;
-      default:
-        w.u8(kArtifactNone);
-        break;
-    }
-
-    w.u64(fnv(w.out.data(), w.out.size()));
-    return std::move(w.out);
-}
-
-common::Result<std::string>
-encodeCheckpoint(const core::PipelineConfig &config,
-                 const core::StagedState &state,
-                 const std::shared_ptr<image::TileStore> &tiles)
-{
-    using R = common::Result<std::string>;
-    if (!tiles)
-        return R(encodeCheckpoint(config, state));
-
-    Writer w;
-    w.u64(kMagic);
-    w.u32(kVersionTiled);
-    w.u64(configDigest(config));
-    w.u32(static_cast<uint32_t>(state.next));
-    w.d(state.voxelNm);
-    w.d(state.sliceThicknessNm);
-    writeReport(w, state.report);
-
-    switch (state.next) {
-      case core::Stage::Acquire:
-        w.u8(kArtifactMaterials);
-        if (auto err = writeVolumeTiled(w, *state.materials, *tiles))
-            return R(*err);
-        break;
-      case core::Stage::Postprocess:
-        w.u8(kArtifactStack);
-        if (auto err = writeStackTiled(w, *state.stack, *tiles))
-            return R(*err);
-        break;
-      case core::Stage::Analyze:
-        w.u8(kArtifactProcessedTiled);
-        if (state.processedTiled) {
-            // Usually already sealed into this very store (the
-            // service installs its store as state.tileStore before
-            // the stages run); only digests a *different* store
-            // produced need rehydrating through a dense round trip.
-            auto digests = state.processedTiled->digests();
-            if (!digests.ok())
-                return R(digests.error());
-            bool all_here = true;
-            for (const uint64_t d : digests.value())
-                all_here = all_here && tiles->contains(d);
-            if (all_here) {
-                writeTileGrid(w, state.processedTiled->nx(),
-                              state.processedTiled->ny(),
-                              state.processedTiled->nz(),
-                              state.processedTiled->tileEdge(),
-                              digests.value());
-            } else {
-                auto dense = state.processedTiled->toDense();
-                if (!dense.ok())
-                    return R(dense.error());
-                if (auto err =
-                        writeVolumeTiled(w, dense.value(), *tiles))
-                    return R(*err);
-            }
-        } else {
-            if (auto err =
-                    writeVolumeTiled(w, *state.processed, *tiles))
-                return R(*err);
-        }
-        break;
-      default:
-        w.u8(kArtifactNone);
-        break;
-    }
+    if (auto err = writeArtifact(w, state, *tiles))
+        return R(*err);
 
     w.u64(fnv(w.out.data(), w.out.size()));
     return R(std::move(w.out));
@@ -929,13 +818,14 @@ decodeCheckpoint(const std::string &bytes,
                  const std::shared_ptr<image::TileStore> &tiles)
 {
     using R = common::Result<core::StagedState>;
+    if (!tiles)
+        return R(noTileStore());
     if (bytes.size() < sizeof(uint64_t) * 3)
-        return R::failure(common::ErrorCode::DataLoss,
-                          "checkpoint: truncated file");
+        return R(truncated("file"));
     uint64_t stored = 0;
-    std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
-                sizeof(stored));
-    if (fnv(bytes.data(), bytes.size() - sizeof(stored)) != stored)
+    const size_t payload = bytes.size() - sizeof(stored);
+    std::memcpy(&stored, bytes.data() + payload, sizeof(stored));
+    if (fnv(bytes.data(), payload) != stored)
         return R::failure(common::ErrorCode::DataLoss,
                           "checkpoint: payload digest mismatch "
                           "(torn or corrupted file)");
@@ -944,14 +834,9 @@ decodeCheckpoint(const std::string &bytes,
     if (rd.u64() != kMagic)
         return R::failure(common::ErrorCode::DataLoss,
                           "checkpoint: bad magic");
-    const uint32_t version = rd.u32();
-    if (version != kVersion && version != kVersionTiled)
+    if (rd.u32() != kVersion)
         return R::failure(common::ErrorCode::FailedPrecondition,
                           "checkpoint: unsupported version");
-    if (version == kVersionTiled && !tiles)
-        return R::failure(common::ErrorCode::FailedPrecondition,
-                          "checkpoint: tile-referencing image needs "
-                          "a tile store to decode");
     if (rd.u64() != configDigest(config))
         return R::failure(common::ErrorCode::FailedPrecondition,
                           "checkpoint: written under a different "
@@ -967,42 +852,33 @@ decodeCheckpoint(const std::string &bytes,
     state.report = readReport(rd);
 
     const uint8_t tag = rd.u8();
-    const bool tiled = version == kVersionTiled;
+    if (!rd.ok)
+        return R(truncated("payload"));
+    if (tag != artifactFor(state.next))
+        return R::failure(common::ErrorCode::DataLoss,
+                          std::string("checkpoint: artifact does not "
+                                      "match the stage cursor (") +
+                              core::stageName(state.next) + ")");
     switch (tag) {
-      case kArtifactNone:
+      case kArtifactMaterials: {
+        auto v = fetchVolume(rd, *tiles);
+        if (!v.ok())
+            return R(v.error());
+        state.materials = v.takeValue();
         break;
-      case kArtifactMaterials:
-        if (tiled) {
-            auto v = readVolumeTiled(rd, *tiles);
-            if (!v.ok())
-                return R(v.error());
-            state.materials = v.takeValue();
-        } else {
-            state.materials = readVolume(rd);
-        }
+      }
+      case kArtifactStack: {
+        auto s = fetchStack(rd, *tiles);
+        if (!s.ok())
+            return R(s.error());
+        state.stack = s.takeValue();
         break;
-      case kArtifactStack:
-        if (tiled) {
-            auto s = readStackTiled(rd, *tiles);
-            if (!s.ok())
-                return R(s.error());
-            state.stack = s.takeValue();
-        } else {
-            state.stack = readStack(rd);
-        }
-        break;
-      case kArtifactProcessed:
-        state.processed = readVolume(rd);
-        break;
-      case kArtifactProcessedTiled: {
-        if (!tiled)
-            return R::failure(common::ErrorCode::DataLoss,
-                              "checkpoint: tiled artifact tag in a "
-                              "v1 image");
+      }
+      case kArtifactPostprocessed: {
         // Resume re-pins: the volume references the store's tiles
         // and fetches them when the Analyze stage reads, instead of
         // re-reading every voxel here.
-        auto tv = readTiledVolume(rd, *tiles);
+        auto tv = readTileGrid(rd, *tiles);
         if (!tv.ok())
             return R(tv.error());
         state.processedTiled =
@@ -1011,12 +887,10 @@ decodeCheckpoint(const std::string &bytes,
         break;
       }
       default:
-        return R::failure(common::ErrorCode::DataLoss,
-                          "checkpoint: unknown artifact tag");
+        break;
     }
-    if (!rd.ok)
-        return R::failure(common::ErrorCode::DataLoss,
-                          "checkpoint: truncated payload");
+    if (!rd.ok || rd.pos != payload)
+        return R(truncated("payload"));
     return R(std::move(state));
 }
 
@@ -1055,11 +929,13 @@ loadCheckpoint(const std::string &path,
                const core::PipelineConfig &config,
                const std::shared_ptr<image::TileStore> &tiles)
 {
+    using R = common::Result<core::StagedState>;
+    if (!tiles)
+        return R(noTileStore());
     std::ifstream in(path, std::ios::binary);
     if (!in)
-        return common::Result<core::StagedState>::failure(
-            common::ErrorCode::NotFound,
-            "checkpoint: no file at " + path);
+        return R::failure(common::ErrorCode::NotFound,
+                          "checkpoint: no file at " + path);
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
     return decodeCheckpoint(bytes, config, tiles);

@@ -3,19 +3,24 @@
  * Crash-safe checkpointing of staged pipeline runs.
  *
  * After every completed stage the campaign service serializes the
- * `core::StagedState` — stage cursor, partial report, and the one
- * intermediate artifact the remaining stages still need — to a binary
- * checkpoint file, written atomically (temp file + rename).  A service
- * killed mid-job reloads the newest checkpoint on restart and replays
- * only the unfinished stages; because every stage is a pure function
- * of (config, state), the resumed run's report is bitwise-identical
- * to an uninterrupted one (asserted by tests/test_service.cc).
+ * `core::StagedState` to a binary checkpoint image, written
+ * atomically (temp file + rename): the stage cursor, the partial
+ * report, and the digests of the one intermediate artifact the
+ * remaining stages still need.  The artifact voxels themselves are
+ * sealed into a content-addressed `image::TileStore` (the service's
+ * lives in `<checkpointDir>/tiles`), so repeated saves of an
+ * unchanged artifact write almost nothing.  A service killed mid-job
+ * reloads the newest checkpoint on restart and replays only the
+ * unfinished stages; because every stage is a pure function of
+ * (config, state), the resumed run's report is bitwise-identical to
+ * an uninterrupted one (asserted by tests/test_service.cc).
  *
- * Two digests guard a load: the config identity digest (the
+ * A load is guarded three ways: the config identity digest (the
  * result-affecting configuration fields) rejects a checkpoint written
- * under a different job configuration, and a trailing FNV-1a payload
- * digest rejects torn or corrupted files.  Both failures come back as
- * typed errors, never as garbage state.
+ * under a different job configuration, a trailing FNV-1a payload
+ * digest rejects torn or corrupted files, and the artifact must be
+ * the one the stage cursor needs.  Every failure comes back as a
+ * typed error, never as garbage state.
  */
 
 #ifndef HIFI_SERVICE_CHECKPOINT_HH
@@ -50,19 +55,11 @@ uint64_t fabDigest(const core::PipelineConfig &config);
 
 /**
  * Serialize `state` for `config` into a byte string (the in-memory
- * checkpoint image).  Serializes only the artifact the cursor still
- * needs, so the image shrinks as the run progresses.  This is the
- * self-contained v1 image: artifact voxels are embedded inline.
- */
-std::string encodeCheckpoint(const core::PipelineConfig &config,
-                             const core::StagedState &state);
-
-/**
- * Tile-referencing (v2) encoding: artifact voxels are sealed into
- * `tiles` (content-addressed, deduplicated across saves) and the
- * checkpoint image stores only their digests, so repeated saves of
- * an unchanged artifact write almost nothing and the image stays
- * small at every stage.  Typed errors on store I/O failures.
+ * checkpoint image).  Seals only the artifact the cursor still needs
+ * into `tiles` (content-addressed, deduplicated across saves); the
+ * image stores its digests, so it stays small at every stage.  Typed
+ * failures: FailedPrecondition for a null store or a state missing
+ * its cursor's artifact, the store's errors on tile I/O.
  */
 common::Result<std::string>
 encodeCheckpoint(const core::PipelineConfig &config,
@@ -72,40 +69,41 @@ encodeCheckpoint(const core::PipelineConfig &config,
 /**
  * Decode a checkpoint image back into a StagedState, verifying the
  * payload digest and the config identity.  Typed failures:
- * DataLoss for truncation/corruption — including a referenced tile
- * that is missing, truncated or fails its digest check —
- * FailedPrecondition for a config mismatch, an unsupported version,
- * or a tile-referencing (v2) image decoded without a tile store.
- * A decoded tiled artifact re-pins lazily: tiles are verified and
- * fetched when the resumed stage reads them, not eagerly here.
+ * DataLoss for truncation/corruption — including an artifact that
+ * does not match the stage cursor, and a referenced tile that is
+ * missing, truncated or fails its digest check — FailedPrecondition
+ * for a null store, a config mismatch or an unsupported version.
+ * A decoded processed volume re-pins lazily: its tiles are verified
+ * and fetched when the resumed stage reads them, not eagerly here.
  */
 common::Result<core::StagedState>
 decodeCheckpoint(const std::string &bytes,
                  const core::PipelineConfig &config,
-                 const std::shared_ptr<image::TileStore> &tiles = {});
+                 const std::shared_ptr<image::TileStore> &tiles);
 
 /**
  * Atomically write the checkpoint for (config, state) to `path`:
  * the image is written to "<path>.tmp" and renamed over `path`, so a
  * crash mid-write leaves either the previous checkpoint or none —
- * never a torn file.  With `tiles` the v2 tile-referencing encoding
- * is used.  Typed Internal error on I/O failure.
+ * never a torn file.  The encodeCheckpoint failures, or a typed
+ * Internal error on file I/O failure.
  */
 std::optional<common::Error>
 saveCheckpoint(const std::string &path,
                const core::PipelineConfig &config,
                const core::StagedState &state,
-               const std::shared_ptr<image::TileStore> &tiles = {});
+               const std::shared_ptr<image::TileStore> &tiles);
 
 /**
- * Load and decode the checkpoint at `path`.  NotFound when the file
- * does not exist (callers treat that as "start from scratch"),
- * otherwise the decodeCheckpoint failure taxonomy.
+ * Load and decode the checkpoint at `path`.  FailedPrecondition for a
+ * null store, NotFound when the file does not exist (callers treat
+ * that as "start from scratch"), otherwise the decodeCheckpoint
+ * failure taxonomy.
  */
 common::Result<core::StagedState>
 loadCheckpoint(const std::string &path,
                const core::PipelineConfig &config,
-               const std::shared_ptr<image::TileStore> &tiles = {});
+               const std::shared_ptr<image::TileStore> &tiles);
 
 /// Remove a checkpoint file if present (best-effort; used after a
 /// job completes so a rerun starts fresh).

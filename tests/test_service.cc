@@ -26,6 +26,7 @@
 #include "common/rng.hh"
 #include "core/fuzz.hh"
 #include "core/stages.hh"
+#include "image/tiled_volume.hh"
 #include "scope/fib.hh"
 #include "service/campaign.hh"
 #include "service/checkpoint.hh"
@@ -108,6 +109,67 @@ runStagedToEnd(const PipelineConfig &config, StagedState &state)
     return hifi::core::reportDigest(state.report);
 }
 
+/// Tile store over `<dir>/tiles`, the layout the service keeps beside
+/// its checkpoints.  A fresh instance over the same directory models
+/// a restarted process that re-pins the tiles from disk.
+std::shared_ptr<hifi::image::TileStore>
+tileStore(const std::string &dir)
+{
+    hifi::image::TileStoreConfig tc;
+    tc.dir = dir + "/tiles";
+    return std::make_shared<hifi::image::TileStore>(std::move(tc));
+}
+
+/// Byte offsets in a checkpoint image: u64 magic, u32 version, u64
+/// config digest, u32 stage cursor.
+constexpr size_t kVersionOffset = 8;
+constexpr size_t kCursorOffset = 20;
+
+/// Recompute an edited image's trailing FNV-1a payload digest, so the
+/// edit reaches the parser instead of the torn-file check.
+void
+reseal(std::string &image)
+{
+    const size_t payload = image.size() - sizeof(uint64_t);
+    uint64_t h = 1469598103934665603ull;
+    for (size_t i = 0; i < payload; ++i) {
+        h ^= static_cast<unsigned char>(image[i]);
+        h *= 1099511628211ull;
+    }
+    std::memcpy(&image[payload], &h, sizeof(h));
+}
+
+/// Overwrite the field at `offset` with `value`, then reseal.
+template <typename T>
+void
+patch(std::string &image, size_t offset, T value)
+{
+    std::memcpy(&image[offset], &value, sizeof(value));
+    reseal(image);
+}
+
+/// Run `config` to completion, encoding a checkpoint image into
+/// `tiles` at every boundary the service checkpoints at.
+std::vector<std::string>
+boundaryImages(const PipelineConfig &config,
+               const std::shared_ptr<hifi::image::TileStore> &tiles)
+{
+    auto init = hifi::core::initStagedRun(config);
+    if (!init.ok())
+        return {};
+    StagedState state = init.takeValue();
+    std::vector<std::string> images;
+    while (!hifi::core::runStage(config, state) &&
+           state.next != Stage::Done) {
+        auto image =
+            hifi::service::encodeCheckpoint(config, state, tiles);
+        if (!image.ok())
+            return {};
+        images.push_back(image.takeValue());
+    }
+    return images;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------
@@ -158,127 +220,19 @@ TEST(Stages, StageNamesAreStable)
 // Checkpoint codec.
 // ---------------------------------------------------------------
 
-TEST(Checkpoint, ResumeAtEveryStageBoundaryIsBitIdentical)
-{
-    PipelineConfig config = testConfig(42);
-    config.threads = 1;
-
-    // Reference run, capturing the checkpoint image at every stage
-    // boundary the service would checkpoint at.
-    auto init = hifi::core::initStagedRun(config);
-    ASSERT_TRUE(init.ok());
-    StagedState state = init.takeValue();
-    std::vector<std::string> boundaries;
-    while (state.next != Stage::Done) {
-        ASSERT_FALSE(hifi::core::runStage(config, state));
-        if (state.next != Stage::Done)
-            boundaries.push_back(
-                hifi::service::encodeCheckpoint(config, state));
-    }
-    const uint64_t reference = hifi::core::reportDigest(state.report);
-    EXPECT_EQ(reference, directDigest(testConfig(42)));
-    ASSERT_EQ(boundaries.size(), hifi::core::kNumStages - 1);
-
-    // The image shrinks once the bulky early artifacts are dropped:
-    // the post-Analyze checkpoint carries no artifact at all.
-    EXPECT_LT(boundaries.back().size(), boundaries.front().size());
-
-    // Resume from every boundary, cycling the thread count through
-    // 1/2/8 — the completed report must be bitwise-identical.
-    const size_t threadCycle[] = {1, 2, 8};
-    for (size_t i = 0; i < boundaries.size(); ++i) {
-        PipelineConfig resumed = config;
-        resumed.threads = threadCycle[i % 3];
-        auto decoded =
-            hifi::service::decodeCheckpoint(boundaries[i], resumed);
-        ASSERT_TRUE(decoded.ok()) << decoded.error().message;
-        StagedState replay = decoded.takeValue();
-        EXPECT_EQ(static_cast<size_t>(replay.next), i + 1);
-        EXPECT_EQ(runStagedToEnd(resumed, replay), reference)
-            << "boundary " << i << ", threads "
-            << threadCycle[i % 3];
-    }
-}
-
-TEST(Checkpoint, TypedFailureTaxonomy)
-{
-    PipelineConfig config = testConfig(7);
-    config.threads = 1;
-    auto init = hifi::core::initStagedRun(config);
-    ASSERT_TRUE(init.ok());
-    StagedState state = init.takeValue();
-    ASSERT_FALSE(hifi::core::runStage(config, state)); // Fab only
-    const std::string image =
-        hifi::service::encodeCheckpoint(config, state);
-
-    // Pristine image decodes.
-    EXPECT_TRUE(hifi::service::decodeCheckpoint(image, config).ok());
-
-    // Threads are operational, not identity: a different thread
-    // count still accepts the checkpoint.
-    PipelineConfig rethreaded = config;
-    rethreaded.threads = 8;
-    EXPECT_TRUE(
-        hifi::service::decodeCheckpoint(image, rethreaded).ok());
-
-    // A flipped payload byte is DataLoss.
-    std::string corrupt = image;
-    corrupt[corrupt.size() / 2] ^= 0x5a;
-    auto bad = hifi::service::decodeCheckpoint(corrupt, config);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.error().code, ErrorCode::DataLoss);
-
-    // Truncation (torn write) is DataLoss.
-    auto torn = hifi::service::decodeCheckpoint(
-        image.substr(0, image.size() - 9), config);
-    ASSERT_FALSE(torn.ok());
-    EXPECT_EQ(torn.error().code, ErrorCode::DataLoss);
-
-    // A result-affecting config change is FailedPrecondition.
-    PipelineConfig reseeded = config;
-    reseeded.seed = config.seed + 1;
-    auto mismatch = hifi::service::decodeCheckpoint(image, reseeded);
-    ASSERT_FALSE(mismatch.ok());
-    EXPECT_EQ(mismatch.error().code, ErrorCode::FailedPrecondition);
-    EXPECT_NE(hifi::service::configDigest(config),
-              hifi::service::configDigest(reseeded));
-
-    // File round trip: save atomically, load, digests agree.
-    const std::string dir = scratchDir("codec");
-    const std::string path = dir + "/job.ckpt";
-    EXPECT_FALSE(hifi::service::saveCheckpoint(path, config, state));
-    auto loaded = hifi::service::loadCheckpoint(path, config);
-    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-    EXPECT_EQ(
-        hifi::service::encodeCheckpoint(config, loaded.value()),
-        image);
-
-    // Removal yields NotFound, the "start from scratch" signal.
-    hifi::service::removeCheckpoint(path);
-    auto gone = hifi::service::loadCheckpoint(path, config);
-    ASSERT_FALSE(gone.ok());
-    EXPECT_EQ(gone.error().code, ErrorCode::NotFound);
-}
-
 TEST(Checkpoint, TiledImagesResumeAtEveryStageBoundary)
 {
     PipelineConfig config = testConfig(42);
     config.threads = 1;
     const std::string dir = scratchDir("tiled_codec");
 
-    auto makeStore = [&] {
-        hifi::image::TileStoreConfig tc;
-        tc.dir = dir + "/tiles";
-        return std::make_shared<hifi::image::TileStore>(
-            std::move(tc));
-    };
-
-    // Save a tile-referencing checkpoint at every boundary.
-    auto tiles = makeStore();
+    // Save a checkpoint at every boundary the service checkpoints at.
+    auto tiles = tileStore(dir);
     auto init = hifi::core::initStagedRun(config);
     ASSERT_TRUE(init.ok());
     StagedState state = init.takeValue();
     std::vector<std::string> paths;
+    uint64_t fabTileBytes = 0;
     while (state.next != Stage::Done) {
         ASSERT_FALSE(hifi::core::runStage(config, state));
         if (state.next != Stage::Done) {
@@ -287,19 +241,24 @@ TEST(Checkpoint, TiledImagesResumeAtEveryStageBoundary)
             ASSERT_FALSE(hifi::service::saveCheckpoint(
                 path, config, state, tiles));
             paths.push_back(path);
+            if (paths.size() == 1)
+                fabTileBytes = tiles->stats().spilledBytes;
         }
     }
     const uint64_t reference = hifi::core::reportDigest(state.report);
+    EXPECT_EQ(reference, directDigest(testConfig(42)));
     ASSERT_EQ(paths.size(), hifi::core::kNumStages - 1);
 
-    // A tile-referencing image stays small at the bulky boundaries:
-    // the voxels live in the store, the image holds digests.
-    const auto v1Bytes =
-        hifi::service::encodeCheckpoint(config, state).size();
+    // The voxels live in the store and the image holds digests, so
+    // the image stays small at the bulky boundaries.  The footprint
+    // shrinks once the bulky early artifacts are dropped: the
+    // post-Fab checkpoint is its image plus the material tiles it
+    // sealed, the post-Analyze one an image with no artifact at all.
     for (const std::string &path : paths)
         EXPECT_LT(std::filesystem::file_size(path), 1u << 20)
             << path;
-    (void)v1Bytes;
+    EXPECT_LT(std::filesystem::file_size(paths.back()),
+              std::filesystem::file_size(paths.front()) + fabTileBytes);
 
     // Resume from every boundary with a FRESH store instance over the
     // same directory (a restarted process re-pins from disk), cycling
@@ -308,9 +267,8 @@ TEST(Checkpoint, TiledImagesResumeAtEveryStageBoundary)
     for (size_t i = 0; i < paths.size(); ++i) {
         PipelineConfig resumed = config;
         resumed.threads = threadCycle[i % 3];
-        auto fresh = makeStore();
-        auto loaded =
-            hifi::service::loadCheckpoint(paths[i], resumed, fresh);
+        auto loaded = hifi::service::loadCheckpoint(paths[i], resumed,
+                                                    tileStore(dir));
         ASSERT_TRUE(loaded.ok()) << loaded.error().message;
         StagedState replay = loaded.takeValue();
         EXPECT_EQ(static_cast<size_t>(replay.next), i + 1);
@@ -331,33 +289,206 @@ TEST(Checkpoint, TiledImagesResumeAtEveryStageBoundary)
     EXPECT_EQ(tiles->stats().spilledBytes, spilledBefore);
 }
 
-TEST(Checkpoint, TiledImageNeedsAStoreToDecode)
+TEST(Checkpoint, TypedFailureTaxonomy)
 {
-    PipelineConfig config = testConfig(7);
+    PipelineConfig config = testConfig(7, 1);
     config.threads = 1;
-    const std::string dir = scratchDir("tiled_nostore");
-    hifi::image::TileStoreConfig tc;
-    tc.dir = dir + "/tiles";
-    auto tiles =
-        std::make_shared<hifi::image::TileStore>(std::move(tc));
+    const std::string dir = scratchDir("codec");
+    const auto tiles = tileStore(dir);
+    const std::vector<std::string> images =
+        boundaryImages(config, tiles);
+    ASSERT_EQ(images.size(), hifi::core::kNumStages - 1);
+    const std::string &image = images.front(); // after Fab
 
-    auto init = hifi::core::initStagedRun(config);
-    ASSERT_TRUE(init.ok());
-    StagedState state = init.takeValue();
-    ASSERT_FALSE(hifi::core::runStage(config, state)); // Fab
-    auto image =
-        hifi::service::encodeCheckpoint(config, state, tiles);
-    ASSERT_TRUE(image.ok()) << image.error().message;
+    // Pristine image decodes.
+    EXPECT_TRUE(
+        hifi::service::decodeCheckpoint(image, config, tiles).ok());
 
-    // With the store the image decodes; without one the reader must
-    // refuse up front (FailedPrecondition), not crash or guess.
-    EXPECT_TRUE(hifi::service::decodeCheckpoint(image.value(), config,
-                                                tiles)
-                    .ok());
-    auto blind =
-        hifi::service::decodeCheckpoint(image.value(), config);
-    ASSERT_FALSE(blind.ok());
-    EXPECT_EQ(blind.error().code, ErrorCode::FailedPrecondition);
+    // Threads are operational, not identity: a different thread
+    // count still accepts the checkpoint.
+    PipelineConfig rethreaded = config;
+    rethreaded.threads = 8;
+    EXPECT_TRUE(
+        hifi::service::decodeCheckpoint(image, rethreaded, tiles).ok());
+
+    // A flipped payload byte is DataLoss.
+    std::string corrupt = image;
+    corrupt[corrupt.size() / 2] ^= 0x5a;
+    auto bad = hifi::service::decodeCheckpoint(corrupt, config, tiles);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.error().code, ErrorCode::DataLoss);
+
+    // Truncation (torn write) is DataLoss.
+    auto torn = hifi::service::decodeCheckpoint(
+        image.substr(0, image.size() - 9), config, tiles);
+    ASSERT_FALSE(torn.ok());
+    EXPECT_EQ(torn.error().code, ErrorCode::DataLoss);
+
+    // A result-affecting config change is FailedPrecondition.
+    PipelineConfig reseeded = config;
+    reseeded.seed = config.seed + 1;
+    auto mismatch =
+        hifi::service::decodeCheckpoint(image, reseeded, tiles);
+    ASSERT_FALSE(mismatch.ok());
+    EXPECT_EQ(mismatch.error().code, ErrorCode::FailedPrecondition);
+    EXPECT_NE(hifi::service::configDigest(config),
+              hifi::service::configDigest(reseeded));
+
+    // A version-1 image (voxels inline, a retired format) is refused
+    // up front, and the service restarts such a job from scratch.
+    std::string v1 = image;
+    patch(v1, kVersionOffset, uint32_t{1});
+    auto retired = hifi::service::decodeCheckpoint(v1, config, tiles);
+    ASSERT_FALSE(retired.ok());
+    EXPECT_EQ(retired.error().code, ErrorCode::FailedPrecondition);
+
+    // A tile grid whose edge is not the one every writer seals at is
+    // DataLoss: the fetched tiles would be read with the wrong stride.
+    // The grid ends the image: edge, count, digests, payload digest.
+    auto analyze =
+        hifi::service::decodeCheckpoint(images[2], config, tiles);
+    ASSERT_TRUE(analyze.ok()) << analyze.error().message;
+    const hifi::image::TiledVolume3D &grid =
+        *analyze.value().processedTiled;
+    const size_t edgeAt = images[2].size() -
+        sizeof(uint64_t) *
+            (grid.tilesX() * grid.tilesY() * grid.tilesZ() + 3);
+    uint64_t edge = 0;
+    std::memcpy(&edge, &images[2][edgeAt], sizeof(edge));
+    ASSERT_EQ(edge, hifi::image::TiledVolume3D::kDefaultTileEdge);
+    std::string skewed = images[2];
+    patch(skewed, edgeAt, edge + 1);
+    auto strided =
+        hifi::service::decodeCheckpoint(skewed, config, tiles);
+    ASSERT_FALSE(strided.ok());
+    EXPECT_EQ(strided.error().code, ErrorCode::DataLoss);
+
+    // File round trip: save atomically, load, re-encode byte-equal.
+    const std::string path = dir + "/job.ckpt";
+    auto fab = hifi::service::decodeCheckpoint(image, config, tiles);
+    ASSERT_TRUE(fab.ok()) << fab.error().message;
+    EXPECT_FALSE(
+        hifi::service::saveCheckpoint(path, config, fab.value(), tiles));
+    auto loaded = hifi::service::loadCheckpoint(path, config, tiles);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    auto reencoded =
+        hifi::service::encodeCheckpoint(config, loaded.value(), tiles);
+    ASSERT_TRUE(reencoded.ok()) << reencoded.error().message;
+    EXPECT_EQ(reencoded.value(), image);
+
+    // A stage cursor rewritten to any stage either still names the
+    // artifact the image carries, and the state runs its next stage,
+    // or it is DataLoss: never a state missing what the resumed stage
+    // dereferences.
+    for (size_t i = 0; i < images.size(); ++i) {
+        for (uint32_t cursor = 0; cursor <= hifi::core::kNumStages;
+             ++cursor) {
+            std::string moved = images[i];
+            patch(moved, kCursorOffset, cursor);
+            auto decoded =
+                hifi::service::decodeCheckpoint(moved, config, tiles);
+            SCOPED_TRACE("boundary " + std::to_string(i) +
+                         ", cursor " + std::to_string(cursor));
+            if (!decoded.ok()) {
+                EXPECT_EQ(decoded.error().code, ErrorCode::DataLoss)
+                    << decoded.error().message;
+                continue;
+            }
+            StagedState state = decoded.takeValue();
+            const Stage next = state.next;
+            EXPECT_EQ(state.materials != nullptr,
+                      next == Stage::Acquire);
+            EXPECT_EQ(state.stack != nullptr,
+                      next == Stage::Postprocess);
+            EXPECT_EQ(state.processedTiled != nullptr,
+                      next == Stage::Analyze);
+            if (next != Stage::Done) {
+                EXPECT_FALSE(hifi::core::runStage(config, state));
+            }
+        }
+    }
+
+    // Every codec entry point refuses a null tile store up front
+    // (FailedPrecondition), rather than crash or guess.
+    const std::shared_ptr<hifi::image::TileStore> none;
+    auto encNone =
+        hifi::service::encodeCheckpoint(config, loaded.value(), none);
+    ASSERT_FALSE(encNone.ok());
+    EXPECT_EQ(encNone.error().code, ErrorCode::FailedPrecondition);
+    auto decNone = hifi::service::decodeCheckpoint(image, config, none);
+    ASSERT_FALSE(decNone.ok());
+    EXPECT_EQ(decNone.error().code, ErrorCode::FailedPrecondition);
+    const auto saveNone = hifi::service::saveCheckpoint(
+        dir + "/none.ckpt", config, loaded.value(), none);
+    ASSERT_TRUE(saveNone);
+    EXPECT_EQ(saveNone->code, ErrorCode::FailedPrecondition);
+    auto loadNone = hifi::service::loadCheckpoint(path, config, none);
+    ASSERT_FALSE(loadNone.ok());
+    EXPECT_EQ(loadNone.error().code, ErrorCode::FailedPrecondition);
+
+    // So does the encoder for a state without its cursor's artifact.
+    StagedState hollow;
+    hollow.next = Stage::Postprocess;
+    auto encHollow =
+        hifi::service::encodeCheckpoint(config, hollow, tiles);
+    ASSERT_FALSE(encHollow.ok());
+    EXPECT_EQ(encHollow.error().code, ErrorCode::FailedPrecondition);
+
+    // Removal yields NotFound, the "start from scratch" signal.
+    hifi::service::removeCheckpoint(path);
+    auto gone = hifi::service::loadCheckpoint(path, config, tiles);
+    ASSERT_FALSE(gone.ok());
+    EXPECT_EQ(gone.error().code, ErrorCode::NotFound);
+}
+
+TEST(Checkpoint, MutatedImagesFailTyped)
+{
+    // Single-bit flips anywhere before the trailing digest, which is
+    // then recomputed so each flip reaches the parser.  Every trial
+    // must decode and run to completion, or stop at a typed error; an
+    // escaping exception or a crash fails the test.  A fault-free
+    // one-pair job keeps the images small, so more flips land in the
+    // structure rather than in report values, and the replays short.
+    PipelineConfig config = testConfig(3, 1);
+    config.faults.enabled = false;
+    config.threads = 4;
+    const auto tiles = tileStore(scratchDir("mutated"));
+    const std::vector<std::string> images =
+        boundaryImages(config, tiles);
+    ASSERT_EQ(images.size(), hifi::core::kNumStages - 1);
+
+    constexpr uint64_t kFlipsPerBoundary = 8;
+    size_t decoded = 0, rejected = 0;
+    for (size_t i = 0; i < images.size(); ++i) {
+        hifi::common::Rng rng(0x5eed, i);
+        const size_t bits = (images[i].size() - sizeof(uint64_t)) * 8;
+        for (uint64_t t = 0; t < kFlipsPerBoundary; ++t) {
+            const size_t bit = rng.below(bits);
+            std::string image = images[i];
+            image[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+            reseal(image);
+            SCOPED_TRACE("boundary " + std::to_string(i) + ", bit " +
+                         std::to_string(bit));
+            auto state = hifi::service::decodeCheckpoint(image, config,
+                                                         tiles);
+            if (!state.ok()) {
+                const ErrorCode code = state.error().code;
+                EXPECT_TRUE(code == ErrorCode::DataLoss ||
+                            code == ErrorCode::FailedPrecondition)
+                    << state.error().message;
+                ++rejected;
+                continue;
+            }
+            ++decoded;
+            StagedState replay = state.takeValue();
+            while (replay.next != Stage::Done)
+                if (hifi::core::runStage(config, replay))
+                    break;
+        }
+    }
+    // The fixed flip set reaches both outcomes.
+    EXPECT_GT(decoded, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 TEST(Checkpoint, MissingOrCorruptTilesSurfaceAsDataLoss)
@@ -367,16 +498,9 @@ TEST(Checkpoint, MissingOrCorruptTilesSurfaceAsDataLoss)
     const std::string dir = scratchDir("tiled_corrupt");
     const std::string tileDir = dir + "/tiles";
 
-    auto makeStore = [&] {
-        hifi::image::TileStoreConfig tc;
-        tc.dir = tileDir;
-        return std::make_shared<hifi::image::TileStore>(
-            std::move(tc));
-    };
-
     // Checkpoint right after Postprocess: the image references the
     // processed volume's tiles.
-    auto tiles = makeStore();
+    auto tiles = tileStore(dir);
     auto init = hifi::core::initStagedRun(config);
     ASSERT_TRUE(init.ok());
     StagedState state = init.takeValue();
@@ -396,7 +520,7 @@ TEST(Checkpoint, MissingOrCorruptTilesSurfaceAsDataLoss)
     // Baseline: an intact set of tiles loads and finishes.
     {
         auto loaded =
-            hifi::service::loadCheckpoint(path, config, makeStore());
+            hifi::service::loadCheckpoint(path, config, tileStore(dir));
         ASSERT_TRUE(loaded.ok()) << loaded.error().message;
     }
 
@@ -406,7 +530,7 @@ TEST(Checkpoint, MissingOrCorruptTilesSurfaceAsDataLoss)
         // the tile — but it must be typed DataLoss, never a crash or
         // a silently wrong resume.
         auto loaded =
-            hifi::service::loadCheckpoint(path, config, makeStore());
+            hifi::service::loadCheckpoint(path, config, tileStore(dir));
         if (!loaded.ok()) {
             EXPECT_EQ(loaded.error().code, ErrorCode::DataLoss)
                 << what << ": " << loaded.error().message;
@@ -460,7 +584,7 @@ TEST(Checkpoint, MissingOrCorruptTilesSurfaceAsDataLoss)
                   static_cast<std::streamsize>(original.size()));
     }
     auto healed =
-        hifi::service::loadCheckpoint(path, config, makeStore());
+        hifi::service::loadCheckpoint(path, config, tileStore(dir));
     ASSERT_TRUE(healed.ok()) << healed.error().message;
     StagedState replay = healed.takeValue();
     EXPECT_EQ(runStagedToEnd(config, replay),
@@ -543,7 +667,8 @@ TEST(Service, ChaosKillAtEveryBoundaryResumesBitIdentical)
 
     // The completed job removed its checkpoint.
     auto leftover = hifi::service::loadCheckpoint(
-        cfg.checkpointDir + "/job-chaos.ckpt", job);
+        cfg.checkpointDir + "/job-chaos.ckpt", job,
+        tileStore(cfg.checkpointDir));
     EXPECT_FALSE(leftover.ok());
     EXPECT_EQ(leftover.error().code, ErrorCode::NotFound);
 }

@@ -443,6 +443,14 @@ TEST(TiledVolume, TypedErrors)
         4, 4, 4, 4, std::vector<uint64_t>{42}, store);
     ASSERT_FALSE(unknown.ok());
     EXPECT_EQ(unknown.error().code, ErrorCode::DataLoss);
+
+    // Corrupt dimensions meet the digest count before any slot table
+    // is sized: a 2^60-tile grid is DataLoss, not an allocation.
+    const size_t huge = size_t{1} << 22;
+    auto giant = TiledVolume3D::fromDigests(
+        huge, huge, huge, 4, std::vector<uint64_t>{42}, store);
+    ASSERT_FALSE(giant.ok());
+    EXPECT_EQ(giant.error().code, ErrorCode::DataLoss);
 }
 
 // ---- Volume3D typed validation ---------------------------------------
