@@ -428,6 +428,12 @@ BatchSimulator::run(const TranParams &params, size_t lanes)
     std::vector<uint8_t> active(L, 0), converged(L, 0);
     std::vector<int> itersUsed(L, 0);
     std::vector<double> laneMaxDelta(L, 0.0);
+    // Traced runs tally lane-steps per Newton iteration count here
+    // and merge into solver.newton_per_step once, after the loop.
+    std::vector<uint64_t> newtonPerStep(
+        instrumented ? static_cast<size_t>(std::max(params.maxNewton, 0)) + 1
+                     : 0,
+        0);
 
     for (size_t step = 0; step <= steps; ++step) {
         const double t = static_cast<double>(step) * params.dt;
@@ -590,15 +596,9 @@ BatchSimulator::run(const TranParams &params, size_t lanes)
             else if (itersUsed[l] < step_iters_max)
                 ++retired_early;
         }
-        if (instrumented) {
-            static telemetry::Histogram &newton_hist =
-                telemetry::registry().histogram(
-                    "solver.newton_per_step",
-                    {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64});
+        if (instrumented)
             for (size_t l = 0; l < L; ++l)
-                newton_hist.observe(
-                    static_cast<double>(itersUsed[l]));
-        }
+                ++newtonPerStep[static_cast<size_t>(itersUsed[l])];
 
         // Accept the step per lane: capacitor memory and traces.
         for (size_t ci = 0; ci < caps.size(); ++ci) {
@@ -645,6 +645,9 @@ BatchSimulator::run(const TranParams &params, size_t lanes)
             reg.counter("solver.batch.lanes");
         static telemetry::Counter &c_retired =
             reg.counter("solver.batch.retired_early");
+        static telemetry::Histogram &newton_hist = reg.histogram(
+            "solver.newton_per_step",
+            {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64});
         size_t nonconv = 0;
         for (size_t l = 0; l < L; ++l)
             nonconv += results[l].nonConvergedSteps;
@@ -656,6 +659,10 @@ BatchSimulator::run(const TranParams &params, size_t lanes)
         c_nonconv.add(nonconv);
         c_lanes.add(L);
         c_retired.add(retired_early);
+        for (size_t iters = 0; iters < newtonPerStep.size(); ++iters)
+            if (newtonPerStep[iters] > 0)
+                newton_hist.observe(static_cast<double>(iters),
+                                    newtonPerStep[iters]);
     }
     return results;
 }

@@ -16,15 +16,23 @@
  *  - Anything random inside a chunk draws from a counter-seeded RNG
  *    stream (see Rng(seed, stream)), not from a shared generator.
  *
- * The pool itself is deliberately work-stealing-free: a single atomic
- * chunk cursor hands out chunk indices, the calling thread
- * participates, and `threads == 1` (or a nested call from inside a
- * worker) degrades to plain serial execution of the same chunks in
- * the same order.
+ * The pool itself is deliberately work-stealing-free: each fan-out
+ * gets its own atomic chunk cursor, the calling thread participates,
+ * and a budget of 1 (or a nested call from inside a chunk body)
+ * degrades to plain serial execution of the same chunks in the same
+ * order.
  *
- * Thread-count selection, in priority order: ScopedThreads override >
- * setNumThreads() > the HIFI_THREADS environment variable >
- * std::thread::hardware_concurrency().
+ * Thread budgets: numThreads() is the calling thread's fan-out
+ * budget — the number of threads (caller included) one of its
+ * fan-outs may occupy.  ScopedThreads sets it for the current thread
+ * only; outside any scope it is the process default (setNumThreads(),
+ * else the HIFI_THREADS environment variable, else
+ * std::thread::hardware_concurrency()).  A fan-out captures its
+ * caller's budget, and the pool workers that help run it inherit it.
+ * Concurrent callers on different threads run their fan-outs side by
+ * side on one shared pool, each within its own budget.  The pool only
+ * grows (to the largest budget or process default seen, minus the
+ * caller) and never stops a worker before process exit.
  *
  * Instrumentation: while a telemetry session is active
  * (common/telemetry.hh) the pool records "pool.jobs", "pool.chunks",
@@ -58,47 +66,17 @@ size_t chunkCount(size_t n, size_t grain);
 std::pair<size_t, size_t> chunkBounds(size_t begin, size_t end,
                                       size_t grain, size_t chunk);
 
-/** Fixed-partition thread pool; see the file comment for the rules. */
-class ThreadPool
-{
-  public:
-    /// The process-wide pool used by parallelFor / parallelReduce.
-    static ThreadPool &global();
-
-    /// @param threads 0 picks HIFI_THREADS or hardware concurrency.
-    explicit ThreadPool(size_t threads = 0);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /// Configured worker count (>= 1); 1 means fully serial.
-    size_t numThreads() const;
-
-    /// Stop the workers and relaunch with a new count (0 = auto).
-    void resize(size_t threads);
-
-    /**
-     * Execute body(chunk) for every chunk in [0, chunks), blocking
-     * until all chunks ran.  The calling thread participates.  The
-     * first exception thrown by any chunk is rethrown here (remaining
-     * unclaimed chunks are skipped).  Safe to call from inside a
-     * chunk body: nested calls run serially on the calling thread.
-     */
-    void run(size_t chunks, const std::function<void(size_t)> &body);
-
-  private:
-    struct Impl;
-    Impl *impl_;
-};
-
-/// Configure the global pool (0 = auto from HIFI_THREADS / hardware).
+/// Set the process default budget (0 = auto from HIFI_THREADS /
+/// hardware).  Threads inside a ScopedThreads keep their own budget.
 void setNumThreads(size_t threads);
 
-/// Current global worker count (>= 1).
+/// The calling thread's fan-out budget (>= 1).
 size_t numThreads();
 
-/** RAII thread-count override; `threads == 0` leaves the pool alone. */
+/**
+ * RAII budget for the calling thread's fan-outs; `threads == 0`
+ * keeps the current one.  Other threads are unaffected.
+ */
 class ScopedThreads
 {
   public:
@@ -109,15 +87,18 @@ class ScopedThreads
     ScopedThreads &operator=(const ScopedThreads &) = delete;
 
   private:
-    size_t previous_ = 0;
-    bool active_ = false;
+    size_t previous_;
 };
 
 /**
  * Run body(chunkBegin, chunkEnd) over grain-sized chunks of
- * [begin, end) on the global pool.  Chunk boundaries are thread-count
- * independent; bodies writing disjoint per-index state therefore give
- * bitwise-identical results at any thread count.
+ * [begin, end) on the shared pool, using at most numThreads()
+ * threads, the caller included.  Blocks until every chunk ran; the
+ * first exception a chunk throws is rethrown here (unclaimed chunks
+ * are skipped).  Safe to call from inside a chunk body: nested calls
+ * run serially on the calling thread.  Chunk boundaries are
+ * thread-count independent; bodies writing disjoint per-index state
+ * therefore give bitwise-identical results at any thread count.
  */
 void parallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)> &body);

@@ -257,7 +257,8 @@ routeCounterAdd(const Counter *counter, uint64_t n)
 }
 
 void
-routeHistogramObserve(const Histogram *histogram, double x)
+routeHistogramObserve(const Histogram *histogram, double x,
+                      uint64_t n)
 {
     const uint64_t session = t_boundSession;
     if (session == 0)
@@ -271,9 +272,9 @@ routeHistogramObserve(const Histogram *histogram, double x)
     size_t i = 0;
     while (i < edges.size() && x > edges[i])
         ++i;
-    ++acc.buckets[i];
-    ++acc.count;
-    acc.sum += x;
+    acc.buckets[i] += n;
+    acc.count += n;
+    acc.sum += x * static_cast<double>(n);
 }
 
 uint64_t
@@ -319,16 +320,16 @@ Histogram::Histogram(std::vector<double> upperEdges)
 }
 
 void
-Histogram::observe(double x)
+Histogram::observe(double x, uint64_t n)
 {
     size_t i = 0;
     while (i < edges_.size() && x > edges_[i])
         ++i;
-    buckets_[i].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    atomicAdd(sum_, x);
+    buckets_[i].fetch_add(n, std::memory_order_relaxed);
+    count_.fetch_add(n, std::memory_order_relaxed);
+    atomicAdd(sum_, x * static_cast<double>(n));
     if (enabled())
-        detail::routeHistogramObserve(this, x);
+        detail::routeHistogramObserve(this, x, n);
 }
 
 std::vector<uint64_t>

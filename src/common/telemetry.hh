@@ -74,8 +74,9 @@ extern std::atomic<bool> g_enabled;
 /// unbound.  Only called while telemetry is enabled.
 void routeCounterAdd(const Counter *counter, uint64_t n);
 
-/// Same for one histogram observation.
-void routeHistogramObserve(const Histogram *histogram, double x);
+/// Same for `n` histogram observations of the value x.
+void routeHistogramObserve(const Histogram *histogram, double x,
+                           uint64_t n);
 
 /// Session id the calling thread is bound to (0 = unbound).
 uint64_t currentSessionBinding();
@@ -217,7 +218,9 @@ class Histogram
   public:
     explicit Histogram(std::vector<double> upperEdges);
 
-    void observe(double x);
+    /// Record `n` observations of the value x at once (the sum grows
+    /// by x * n, exact for the integer counts it is used with).
+    void observe(double x, uint64_t n = 1);
 
     const std::vector<double> &edges() const { return edges_; }
 

@@ -161,9 +161,9 @@ runPipelineChecked(const PipelineConfig &config)
     }
     try {
         // The stage bodies live in core/stages.cc; this runner drives
-        // them back-to-back under one span and one thread-count
-        // override.  The campaign service drives the same bodies one
-        // runStage call at a time, checkpointing between them.
+        // them back-to-back under one span and one thread budget.
+        // The campaign service drives the same bodies one runStage
+        // call at a time, checkpointing between them.
         PipelineReport report;
         {
             const telemetry::Span span("pipeline.run");

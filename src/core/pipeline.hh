@@ -88,9 +88,12 @@ struct PipelineConfig
     int detectorOverride = -1;
 
     /**
-     * Worker threads for the hot kernels (denoise, registration, SEM
-     * imaging, voxelization); 0 inherits the process-wide setting
-     * (common::setNumThreads / HIFI_THREADS).  The report is
+     * This job's thread budget: the most threads, the calling one
+     * included, that any fan-out of the hot kernels (denoise,
+     * registration, SEM imaging, voxelization) may occupy on the
+     * shared pool.  It binds only the thread running the job, so
+     * concurrent jobs each keep their own.  0 inherits the calling
+     * thread's budget (common::numThreads).  The report is
      * bitwise-identical for any value — see common/parallel.hh.
      */
     size_t threads = 0;

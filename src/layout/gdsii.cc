@@ -370,8 +370,15 @@ readGds(std::istream &is)
             sref_name = payload_string(rec);
             break;
           case kLayer:
-            if (rec.payload.size() >= 2)
-                current_layer = layerFromGdsNumber(i16At(rec.payload, 0));
+            if (rec.payload.size() >= 2) {
+                const int number = i16At(rec.payload, 0);
+                try {
+                    current_layer = layerFromGdsNumber(number);
+                } catch (const std::invalid_argument &) {
+                    throw std::runtime_error("GDSII: unknown layer " +
+                                             std::to_string(number));
+                }
+            }
             break;
           case kXy: {
             if (element == Element::Boundary) {

@@ -28,6 +28,7 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
+#include "common/telemetry.hh"
 #include "solver_reference.hh"
 
 namespace
@@ -1047,6 +1048,47 @@ TEST(Mismatch, LargerDevicesFailLess)
     const YieldResult relaxed = sensingYield(big, mc, tp);
 
     EXPECT_LE(relaxed.failures, tight.failures);
+}
+
+TEST(SensingYield, NewtonPerStepHistogramIsPinned)
+{
+    // BatchSimulator::run tallies Newton iterations per lane-step
+    // locally and merges them into solver.newton_per_step once per
+    // run.  The merged histogram must equal the one per-step
+    // observation produced: these figures were recorded that way.
+    SaParams sa;
+    sa.topology = SaTopology::Classic;
+    MismatchParams mc;
+    mc.trials = 12;
+    mc.seed = 7;
+    mc.avtVnm = 9.0;
+    TranParams tp = defaultSaTran();
+    tp.dt = 50e-12;
+
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+        const hifi::common::ScopedThreads scoped(threads);
+        hifi::telemetry::Session session;
+        sensingYield(sa, mc, tp);
+        const auto collected = session.finish({});
+        ASSERT_TRUE(collected != nullptr);
+        const auto &metrics = collected->metrics;
+        const auto hist =
+            metrics.histograms.find("solver.newton_per_step");
+        ASSERT_NE(hist, metrics.histograms.end());
+        const auto newton =
+            metrics.counters.find("solver.newton_iterations");
+        ASSERT_NE(newton, metrics.counters.end());
+
+        EXPECT_EQ(hist->second.count, 4404u) << threads;
+        EXPECT_EQ(hist->second.sum, 10340.0) << threads;
+        const std::vector<uint64_t> buckets = {0,  3306, 987, 31, 67, 0,
+                                               12, 0,    0,   0,  0,  1};
+        EXPECT_EQ(hist->second.buckets, buckets) << threads;
+        // Every Newton iteration of every lane-step is in the sum.
+        EXPECT_EQ(hist->second.sum,
+                  static_cast<double>(newton->second))
+            << threads;
+    }
 }
 
 /**

@@ -305,6 +305,33 @@ TEST(Gdsii, SrefToUnknownStructureThrows)
     EXPECT_THROW(layout::readGds(corrupted), std::runtime_error);
 }
 
+TEST(Gdsii, UnknownLayerNumberThrowsRuntimeError)
+{
+    // A valid stream whose LAYER record (length 6, type 0x0D, int16
+    // data 0x02) is patched to a number no layer maps to must fail
+    // with the documented std::runtime_error, not leak the layer
+    // table's std::invalid_argument.
+    Cell cell("LAYERS");
+    cell.addShape(Rect(0, 0, 10, 10), Layer::Metal1);
+    std::stringstream ss;
+    layout::writeGds(ss, cell);
+    std::string bytes = ss.str();
+    const std::string layerRecord("\x00\x06\x0D\x02", 4);
+    const size_t pos = bytes.find(layerRecord);
+    ASSERT_NE(pos, std::string::npos);
+    bytes[pos + 4] = 0x00;
+    bytes[pos + 5] = 0x63; // layer 99
+    std::stringstream corrupted(bytes);
+    try {
+        layout::readGds(corrupted);
+        FAIL() << "readGds accepted layer 99";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "GDSII: unknown layer 99");
+    } catch (const std::exception &e) {
+        FAIL() << "untyped error: " << e.what();
+    }
+}
+
 TEST(Gdsii, FileRoundTrip)
 {
     Cell cell("FILECELL");

@@ -12,7 +12,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "circuit/mismatch.hh"
@@ -237,6 +240,113 @@ TEST(ThreadPool, ReduceIsBitwiseStableAcrossThreadCounts)
     EXPECT_NEAR(serial, 9.7876, 1e-3); // harmonic number H_10000
 }
 
+/// Distinct threads that executed chunks of one fan-out.
+class ThreadIds
+{
+  public:
+    void
+    record()
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        ids_.insert(std::this_thread::get_id());
+    }
+
+    size_t
+    count() const
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        return ids_.size();
+    }
+
+  private:
+    mutable std::mutex mu_;
+    std::set<std::thread::id> ids_;
+};
+
+TEST(ThreadPool, OverlappingBudgetsOnTwoThreadsStayIndependent)
+{
+    // Two callers with different budgets fan out at the same time on
+    // the shared pool.  Each keeps its own budget (helpers inherit
+    // it), no fan-out occupies more threads than its budget, results
+    // stay bitwise serial, and neither scope leaks into the process
+    // default.
+    const size_t processDefault = common::numThreads();
+    auto harmonic = [](ThreadIds *ids) {
+        return common::parallelReduce(
+            0, 20000, 64, 0.0,
+            [ids](size_t b, size_t e) {
+                if (ids)
+                    ids->record();
+                double s = 0.0;
+                for (size_t i = b; i < e; ++i)
+                    s += 1.0 / static_cast<double>(i + 1);
+                return s;
+            },
+            [](double a, double b) { return a + b; });
+    };
+    const double serial = withThreads(1, [&] { return harmonic(nullptr); });
+
+    struct Outcome
+    {
+        size_t rounds = 0;
+        size_t wrongSums = 0;
+        size_t wrongBudgets = 0;
+        size_t wrongNested = 0;
+        size_t maxThreads = 0;
+    };
+    auto caller = [&](size_t budget, Outcome &out) {
+        const common::ScopedThreads scoped(budget);
+        for (int round = 0; round < 40; ++round, ++out.rounds) {
+            if (common::numThreads() != budget)
+                ++out.wrongBudgets;
+            ThreadIds ids;
+            const double sum = harmonic(&ids);
+            if (std::memcmp(&sum, &serial, sizeof sum) != 0)
+                ++out.wrongSums;
+            out.maxThreads = std::max(out.maxThreads, ids.count());
+
+            ThreadIds outerIds;
+            std::atomic<size_t> budgetMisses{0};
+            std::vector<size_t> inner(8, 0);
+            common::parallelFor(0, inner.size(), 1, [&](size_t b,
+                                                        size_t e) {
+                outerIds.record();
+                if (common::numThreads() != budget)
+                    ++budgetMisses;
+                for (size_t i = b; i < e; ++i)
+                    common::parallelFor(0, 100, 10,
+                                        [&](size_t ib, size_t ie) {
+                                            for (size_t j = ib; j < ie;
+                                                 ++j)
+                                                inner[i] += j;
+                                        });
+            });
+            out.wrongBudgets += budgetMisses.load();
+            out.maxThreads = std::max(out.maxThreads, outerIds.count());
+            for (const size_t v : inner)
+                if (v != 4950u)
+                    ++out.wrongNested;
+        }
+    };
+
+    Outcome narrow, wide;
+    std::thread a(caller, size_t{1}, std::ref(narrow));
+    std::thread b(caller, size_t{3}, std::ref(wide));
+    a.join();
+    b.join();
+
+    for (const auto *out : {&narrow, &wide}) {
+        const size_t budget = out == &narrow ? 1 : 3;
+        EXPECT_EQ(out->rounds, 40u) << "budget " << budget;
+        EXPECT_EQ(out->wrongSums, 0u) << "budget " << budget;
+        EXPECT_EQ(out->wrongBudgets, 0u) << "budget " << budget;
+        EXPECT_EQ(out->wrongNested, 0u) << "budget " << budget;
+        EXPECT_GE(out->maxThreads, 1u) << "budget " << budget;
+        EXPECT_LE(out->maxThreads, budget) << "budget " << budget;
+    }
+    EXPECT_EQ(common::numThreads(), processDefault);
+}
+
 // ---- Bitwise determinism of the ported kernels ----------------------
 
 class KernelDeterminism : public ::testing::Test
@@ -415,6 +525,53 @@ TEST(PoolInstrumentation, NestedFanOutBusyTimeIsCountedOnce)
         for (const double sum : sums)
             EXPECT_GT(sum, 0.0);
     }
+}
+
+TEST(PoolInstrumentation, WorkersGaugeIsTheFanOutBudget)
+{
+    // "pool.workers" is the posting fan-out's budget, not the pool's
+    // thread count, so busy time over (wall x workers) stays a
+    // per-job utilisation.  Grow the pool to four threads, then fan
+    // out at a budget of two.
+    auto spin = [](size_t b, size_t e, ThreadIds &ids) {
+        ids.record();
+        double s = 0.0;
+        for (size_t i = b; i < e; ++i)
+            for (size_t k = 0; k < 20000; ++k)
+                s += std::sqrt(static_cast<double>(i + k));
+        EXPECT_GT(s, 0.0);
+    };
+    {
+        const common::ScopedThreads grow(4);
+        ThreadIds ids;
+        common::parallelFor(0, 64, 1, [&](size_t b, size_t e) {
+            spin(b, e, ids);
+        });
+    }
+
+    const common::ScopedThreads scoped(2);
+    ThreadIds ids;
+    telemetry::Session session;
+    const auto t0 = std::chrono::steady_clock::now();
+    common::parallelFor(0, 64, 1, [&](size_t b, size_t e) {
+        spin(b, e, ids);
+    });
+    const auto wall_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    const auto collected = session.finish({});
+
+    ASSERT_TRUE(collected != nullptr);
+    const auto workers = collected->metrics.gauges.find("pool.workers");
+    ASSERT_NE(workers, collected->metrics.gauges.end());
+    EXPECT_EQ(workers->second, 2.0);
+    EXPECT_LE(ids.count(), 2u);
+    const auto busy =
+        collected->metrics.counters.find("pool.worker_busy_ns");
+    ASSERT_NE(busy, collected->metrics.counters.end());
+    EXPECT_GT(busy->second, 0u);
+    EXPECT_LE(busy->second, wall_ns * 2);
 }
 
 } // namespace
