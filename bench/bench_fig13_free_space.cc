@@ -56,7 +56,6 @@ main()
             *sa, layout::Layer::Metal1, metal_band(*sa));
 
         // Control: drop one bitline from the MAT; a track must appear.
-        fab::MatSpec control_spec = fab::MatSpec::fromChip(chip, 10, 8);
         auto control = std::make_shared<layout::Cell>("control");
         size_t kept = 0;
         for (const auto &s : mat->flatten()) {

@@ -228,7 +228,7 @@ buildSaRegion(const SaRegionSpec &spec, SaRegionTruth &truth)
                                   yc + kContact / 2.0),
                              sa2),
                        Layer::Contact);
-        truth.devices.push_back({Role::Column, gate, active, i, i});
+        truth.devices.push_back({Role::Column, gate, active, i, i, {}});
     }
 
     // ------- Common-gate strips -----------------------------------------
@@ -264,7 +264,7 @@ buildSaRegion(const SaRegionSpec &spec, SaRegionTruth &truth)
                 Rect(sx, yc - w / 2.0, sx + length, yc + w / 2.0),
                 sa2);
             truth.devices.push_back(
-                {role, body, active, 2 * pair, 2 * pair});
+                {role, body, active, 2 * pair, 2 * pair, {}});
         }
     };
 
@@ -390,7 +390,7 @@ buildSaRegion(const SaRegionSpec &spec, SaRegionTruth &truth)
         cell->addShape(active, Layer::Active);
         cell->addShape(gate, Layer::Gate, "LSA" + std::to_string(pair));
         truth.devices.push_back(
-            {Role::Lsa, gate, active, 2 * pair, 2 * pair});
+            {Role::Lsa, gate, active, 2 * pair, 2 * pair, {}});
     }
 
     return cell;

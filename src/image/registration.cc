@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "common/parallel.hh"
 #include "common/simd.hh"
@@ -21,18 +22,15 @@ namespace image
 namespace
 {
 
-/// Candidate offsets per parallel chunk in the MI shift search.
+/// (pair, candidate) items per parallel chunk in the MI shift search.
 constexpr size_t kCandidateGrain = 4;
 
-/// Pyramid levels stop once either downsampled dimension would drop
-/// below this: with fewer pixels the joint histogram is too sparse for
-/// the coarse MI peak to be trustworthy.
-constexpr size_t kPyramidMinDim = 16;
+/// Joint cells the byte planes can address: ia * bins + ib is one
+/// byte add while bins * bins fits in a byte (bins <= 16).
+constexpr size_t kMiByteCells = 256;
 
-/// Refinement radius around the upsampled coarse optimum, per level.
-/// ±2 covers the upsampling rounding (±1) plus one pixel of detail
-/// that only resolves at the finer level.
-constexpr long kPyramidRefineRadius = 2;
+/// Sub-histograms the search counts into (pixel k goes to k % 4).
+constexpr size_t kMiSubHists = 4;
 
 /// Quantize an intensity into [0, bins).
 inline size_t
@@ -120,40 +118,20 @@ miAtShiftRef(const Image2D &a, const Image2D &b, const MiRanges &r,
 /// Reusable per-worker buffers for the quantized MI accumulation.
 struct MiWorkspace
 {
-    std::vector<uint32_t> joint;
-    std::vector<uint32_t> idx; ///< per-row joint indices (SIMD path)
+    std::vector<uint32_t> sub;   ///< kMiSubHists joint histograms
+    std::vector<uint32_t> joint; ///< their sum
+    std::vector<uint32_t> idx;   ///< joint indices (one-shot SIMD path)
+    std::vector<uint32_t> filled; ///< non-empty cells, row-major
     std::vector<double> pa, pb;
 };
 
-/// SIMD bin-index math runs in epi32 lanes: gate at 4096 bins so
-/// ia * bins + ib stays far below 2^31 (4096^2 ~ 2^24).  Larger bin
-/// counts (rare; quantizePlane allows up to 65535) take the scalar
+/// The one-shot SIMD index math runs in epi32 lanes: gate at 4096 bins
+/// so ia * bins + ib stays far below 2^31 (4096^2 ~ 2^24).  Larger bin
+/// counts (rare; the entry points allow up to 65535) take the scalar
 /// loop, which uses size_t throughout.
 constexpr size_t kMiSimdMaxBins = 4096;
 
 #if HIFI_SIMD_AVX2_COMPILED
-
-/// idx[k] = ra[k] * bins + rb[k] over pre-quantized uint16 rows,
-/// eight pairs per step.  Pure integer arithmetic, so the indices are
-/// trivially identical to the scalar loop's.
-HIFI_AVX2_TARGET inline void
-jointIndicesAvx2(const uint16_t *ra, const uint16_t *rb, size_t count,
-                 uint32_t bins, uint32_t *out)
-{
-    const __m256i vbins = _mm256_set1_epi32(static_cast<int>(bins));
-    size_t k = 0;
-    for (; k + 8 <= count; k += 8) {
-        const __m256i ia = _mm256_cvtepu16_epi32(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(ra + k)));
-        const __m256i ib = _mm256_cvtepu16_epi32(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(rb + k)));
-        const __m256i idx =
-            _mm256_add_epi32(_mm256_mullo_epi32(ia, vbins), ib);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + k), idx);
-    }
-    for (; k < count; ++k)
-        out[k] = static_cast<uint32_t>(ra[k]) * bins + rb[k];
-}
 
 /**
  * Vector form of quantize() for four floats: the float subtract /
@@ -210,46 +188,80 @@ quantIndicesAvx2(const float *pa, const float *pb, size_t count,
 #endif // HIFI_SIMD_AVX2_COMPILED
 
 /**
- * Marginals + entropy sum over an integer joint histogram.  Shared by
- * every quantized path (pre-quantized planes and the fused one-shot)
- * so they cannot drift: the loop structure mirrors miAtShiftRef term
- * for term, and each uint32 count converts to the same double the
- * reference accumulated by repeated `+= 1.0`.
+ * Count joint bins k in [0, count) into the kMiSubHists zeroed
+ * sub-histograms of ws.sub, pixel k into sub-histogram k % 4.  Most
+ * neighbouring pixels of a denoised frame share a joint bin; one
+ * histogram would chain each increment on the previous store.
+ */
+template <typename JointBin>
+inline void
+countBins(MiWorkspace &ws, size_t cells, size_t count, JointBin bin)
+{
+    uint32_t *h0 = ws.sub.data(), *h1 = h0 + cells, *h2 = h1 + cells,
+             *h3 = h2 + cells;
+    size_t k = 0;
+    for (; k + 4 <= count; k += 4) {
+        ++h0[bin(k)];
+        ++h1[bin(k + 1)];
+        ++h2[bin(k + 2)];
+        ++h3[bin(k + 3)];
+    }
+    for (; k < count; ++k)
+        ++h0[bin(k)];
+}
+
+/**
+ * MI from the counted sub-histograms of n pixels: their sum is the
+ * integer joint histogram (each reference bin count is a double
+ * incremented by 1.0, hence an exact integer that converts to the same
+ * double).  The marginals add every cell in miAtShiftRef's order.  The
+ * reference's entropy loop adds a term exactly for the non-empty cells
+ * (their marginals are >= p > 0), so visiting only those, row-major,
+ * adds the same terms in the same order.  Shared by the search and the
+ * one-shot path, so neither can drift from the reference.
  */
 double
-miFromJointCounts(MiWorkspace &ws, size_t bins, size_t n)
+miFromCounts(MiWorkspace &ws, size_t bins, size_t n)
 {
+    const size_t cells = bins * bins;
+    const uint32_t *sub = ws.sub.data();
+    ws.joint.resize(cells);
+    for (size_t c = 0; c < cells; ++c)
+        ws.joint[c] = sub[c] + sub[cells + c] + sub[2 * cells + c] +
+            sub[3 * cells + c];
+
+    // The marginal pass also lists the non-empty cells, branch-free:
+    // QC frames fill ~40% of the cells, so a branch would mispredict.
     const double inv_n = 1.0 / static_cast<double>(n);
-    ws.pa.assign(bins, 0.0);
+    ws.pa.resize(bins);
     ws.pb.assign(bins, 0.0);
+    ws.filled.resize(cells);
+    size_t m = 0;
     for (size_t i = 0; i < bins; ++i) {
+        double row = 0.0;
         for (size_t j = 0; j < bins; ++j) {
-            const double p =
-                static_cast<double>(ws.joint[i * bins + j]) * inv_n;
-            ws.pa[i] += p;
+            const uint32_t c = ws.joint[i * bins + j];
+            const double p = static_cast<double>(c) * inv_n;
+            row += p;
             ws.pb[j] += p;
+            ws.filled[m] = static_cast<uint32_t>(i * bins + j);
+            m += c != 0;
         }
+        ws.pa[i] = row;
     }
     double mi = 0.0;
-    for (size_t i = 0; i < bins; ++i) {
-        if (ws.pa[i] <= 0.0)
-            continue;
-        for (size_t j = 0; j < bins; ++j) {
-            const double p =
-                static_cast<double>(ws.joint[i * bins + j]) * inv_n;
-            if (p > 0.0 && ws.pb[j] > 0.0)
-                mi += p * std::log(p / (ws.pa[i] * ws.pb[j]));
-        }
+    for (size_t k = 0; k < m; ++k) {
+        const size_t cell = ws.filled[k];
+        const double p = static_cast<double>(ws.joint[cell]) * inv_n;
+        mi += p * std::log(p / (ws.pa[cell / bins] * ws.pb[cell % bins]));
     }
     return mi;
 }
 
 /**
- * Fast MI at a shift over pre-quantized planes.  The joint histogram
- * is accumulated as integers (each reference bin count is a double
- * incremented by 1.0, hence an exact integer), and the marginal / MI
- * arithmetic below mirrors the reference loop structure term for
- * term, so the returned score is bitwise identical to miAtShiftRef.
+ * The shift search's score: MI of fixed plane `a` against moving plane
+ * `b` translated by (dx, dy), counted over the overlap.  Bitwise
+ * identical to miAtShiftRef (see miFromCounts).
  */
 double
 miAtShiftQ(const QuantizedPlane &a, const QuantizedPlane &b, long dx,
@@ -258,112 +270,73 @@ miAtShiftQ(const QuantizedPlane &a, const QuantizedPlane &b, long dx,
     const size_t bins = a.bins;
     const long w = static_cast<long>(a.width);
     const long h = static_cast<long>(a.height);
-
     const long x0 = std::max(0l, dx), x1 = std::min(w, w + dx);
     const long y0 = std::max(0l, dy), y1 = std::min(h, h + dy);
     if (x0 >= x1 || y0 >= y1)
         return 0.0;
 
-    ws.joint.assign(bins * bins, 0);
+    const size_t cells = bins * bins;
     const size_t count = static_cast<size_t>(x1 - x0);
-#if HIFI_SIMD_AVX2_COMPILED
-    if (common::simd::avx2() && bins <= kMiSimdMaxBins) {
-        ws.idx.resize(count);
+    ws.sub.assign(kMiSubHists * cells, 0);
+    auto countRows = [&](const auto *fixed, const auto *moving,
+                         auto joint) {
         for (long y = y0; y < y1; ++y) {
-            const uint16_t *ra =
-                a.idx.data() + static_cast<size_t>(y) * a.width + x0;
-            const uint16_t *rb = b.idx.data() +
+            const auto *ra = fixed + static_cast<size_t>(y) * a.width + x0;
+            const auto *rb = moving +
                 static_cast<size_t>(y - dy) * b.width + (x0 - dx);
-            jointIndicesAvx2(ra, rb, count,
-                             static_cast<uint32_t>(bins),
-                             ws.idx.data());
-            for (size_t k = 0; k < count; ++k)
-                ++ws.joint[ws.idx[k]];
+            countBins(ws, cells, count,
+                      [&](size_t k) { return joint(ra[k], rb[k]); });
         }
-    } else
-#endif
-    {
-        for (long y = y0; y < y1; ++y) {
-            const uint16_t *ra =
-                a.idx.data() + static_cast<size_t>(y) * a.width;
-            const uint16_t *rb =
-                b.idx.data() + static_cast<size_t>(y - dy) * b.width;
-            for (long x = x0; x < x1; ++x) {
-                ++ws.joint[static_cast<size_t>(ra[x]) * bins +
-                           rb[x - dx]];
-            }
-        }
+    };
+    if (!a.fixedBytes.empty()) {
+        countRows(a.fixedBytes.data(), b.movingBytes.data(),
+                  [](uint8_t ia, uint8_t ib) {
+                      return static_cast<size_t>(ia + ib);
+                  });
+    } else {
+        countRows(a.idx.data(), b.idx.data(),
+                  [bins](uint16_t ia, uint16_t ib) {
+                      return static_cast<size_t>(ia) * bins + ib;
+                  });
     }
-    return miFromJointCounts(ws, bins,
-                             count * static_cast<size_t>(y1 - y0));
+    return miFromCounts(ws, bins, count * static_cast<size_t>(y1 - y0));
 }
 
 /**
- * Fused one-shot MI: quantizes both images on the fly straight into
- * the integer joint histogram, skipping the QuantizedPlane
- * allocations entirely.  For a single evaluation (mutualInformation /
- * mutualInformationAtShift) the plane build costs more than it saves,
- * so this path undoes that regression; quantize() arithmetic is
- * shared, so the bin counts — and via miFromJointCounts the score —
- * are bitwise identical to the pre-quantized and reference paths.
+ * Fused one-shot MI of two same-shape images: quantizes both on the
+ * fly straight into the joint counts.  For a single evaluation (QC's
+ * miVsPrev, the re-image check in fib.cc) a QuantizedPlane build costs
+ * more than it saves.  quantize() arithmetic is shared, so the counts
+ * — and via miFromCounts the score — match the search and the
+ * reference bit for bit.
  */
 double
-miOneShotQ(const Image2D &a, const Image2D &b, long dx, long dy,
-           size_t bins, MiWorkspace &ws)
+miOneShot(const Image2D &a, const Image2D &b, size_t bins)
 {
-    const MiRanges r = miRanges(a, b);
-    const long w = static_cast<long>(a.width());
-    const long h = static_cast<long>(a.height());
-    const long x0 = std::max(0l, dx), x1 = std::min(w, w + dx);
-    const long y0 = std::max(0l, dy), y1 = std::min(h, h + dy);
-    if (x0 >= x1 || y0 >= y1)
+    const size_t n = a.size();
+    if (n == 0)
         return 0.0;
-
-    ws.joint.assign(bins * bins, 0);
-    const size_t count = static_cast<size_t>(x1 - x0);
+    const MiRanges r = miRanges(a, b);
+    const float *pa = a.data().data();
+    const float *pb = b.data().data();
+    const size_t cells = bins * bins;
+    MiWorkspace ws;
+    ws.sub.assign(kMiSubHists * cells, 0);
 #if HIFI_SIMD_AVX2_COMPILED
     if (common::simd::avx2() && bins <= kMiSimdMaxBins) {
-        ws.idx.resize(count);
-        for (long y = y0; y < y1; ++y) {
-            const float *pa = a.row(static_cast<size_t>(y)) + x0;
-            const float *pb =
-                b.row(static_cast<size_t>(y - dy)) + (x0 - dx);
-            quantIndicesAvx2(pa, pb, count, r,
-                             static_cast<uint32_t>(bins),
-                             ws.idx.data());
-            for (size_t k = 0; k < count; ++k)
-                ++ws.joint[ws.idx[k]];
-        }
+        ws.idx.resize(n);
+        quantIndicesAvx2(pa, pb, n, r, static_cast<uint32_t>(bins),
+                         ws.idx.data());
+        countBins(ws, cells, n, [&](size_t k) { return ws.idx[k]; });
     } else
 #endif
     {
-        for (long y = y0; y < y1; ++y) {
-            const float *pa = a.row(static_cast<size_t>(y));
-            const float *pb = b.row(static_cast<size_t>(y - dy));
-            for (long x = x0; x < x1; ++x) {
-                ++ws.joint[quantize(pa[x], r.alo, r.ainv, bins) * bins +
-                           quantize(pb[x - dx], r.blo, r.binv, bins)];
-            }
-        }
+        countBins(ws, cells, n, [&](size_t k) {
+            return quantize(pa[k], r.alo, r.ainv, bins) * bins +
+                quantize(pb[k], r.blo, r.binv, bins);
+        });
     }
-    return miFromJointCounts(ws, bins,
-                             count * static_cast<size_t>(y1 - y0));
-}
-
-/// Score candidate shifts (dx, dy) in parallel over quantized planes.
-std::vector<double>
-scoreCandidates(const QuantizedPlane &qa, const QuantizedPlane &qb,
-                const std::vector<std::pair<long, long>> &cands)
-{
-    std::vector<double> score(cands.size());
-    common::parallelFor(0, cands.size(), kCandidateGrain,
-                        [&](size_t i0, size_t i1) {
-        MiWorkspace ws;
-        for (size_t i = i0; i < i1; ++i)
-            score[i] = miAtShiftQ(qa, qb, cands[i].first,
-                                  cands[i].second, ws);
-    });
-    return score;
+    return miFromCounts(ws, bins, n);
 }
 
 /**
@@ -374,7 +347,7 @@ scoreCandidates(const QuantizedPlane &qa, const QuantizedPlane &qb,
  */
 std::pair<long, long>
 pickBest(const std::vector<std::pair<long, long>> &cands,
-         const std::vector<double> &score)
+         const double *score)
 {
     double best = 0.0;
     long best_dx = 0, best_dy = 0, best_l1 = 0;
@@ -399,91 +372,62 @@ pickBest(const std::vector<std::pair<long, long>> &cands,
     return {best_dx, best_dy};
 }
 
-/// All (dx, dy) with |dx - cx| <= r, |dy - cy| <= r, clamped to the
-/// full-window bound, enumerated in the exhaustive scan order.
+/// Every (dx, dy) in [-s, s]^2, in the scan order (dy outer).
 std::vector<std::pair<long, long>>
-windowCandidates(long cx, long cy, long r, long bound)
+windowCandidates(long s)
 {
     std::vector<std::pair<long, long>> cands;
-    const long dy0 = std::max(-bound, cy - r);
-    const long dy1 = std::min(bound, cy + r);
-    const long dx0 = std::max(-bound, cx - r);
-    const long dx1 = std::min(bound, cx + r);
-    cands.reserve(static_cast<size_t>(dy1 - dy0 + 1) *
-                  static_cast<size_t>(dx1 - dx0 + 1));
-    for (long dy = dy0; dy <= dy1; ++dy)
-        for (long dx = dx0; dx <= dx1; ++dx)
+    cands.reserve(static_cast<size_t>(2 * s + 1) *
+                  static_cast<size_t>(2 * s + 1));
+    for (long dy = -s; dy <= s; ++dy)
+        for (long dx = -s; dx <= s; ++dx)
             cands.emplace_back(dx, dy);
     return cands;
 }
 
-/// 2x2 box downsample (truncating odd edges), for the MI pyramid.
-Image2D
-downsample2(const Image2D &in)
+/**
+ * The one shift search: register planes[k + 1] (moving) against
+ * planes[k] (fixed) for every k.  All (pair, candidate) items are
+ * scored in one fan-out, so a short chain still spreads over the pool,
+ * and each pair's winner is then picked by the serial scan.
+ */
+std::vector<std::pair<long, long>>
+searchConsecutive(const std::vector<QuantizedPlane> &planes,
+                  long max_shift)
 {
-    const size_t w2 = in.width() / 2;
-    const size_t h2 = in.height() / 2;
-    Image2D out(w2, h2);
-    for (size_t y = 0; y < h2; ++y) {
-        const float *r0 = in.row(2 * y);
-        const float *r1 = in.row(2 * y + 1);
-        float *o = out.row(y);
-        for (size_t x = 0; x < w2; ++x)
-            o[x] = 0.25f * (r0[2 * x] + r0[2 * x + 1] + r1[2 * x] +
-                            r1[2 * x + 1]);
-    }
-    return out;
-}
-
-/// Ceil-divide a shift bound by 2^level.
-long
-levelShift(long max_shift, size_t level)
-{
-    return (max_shift + (1l << level) - 1) >> level;
-}
-
-std::pair<long, long>
-registerShiftMiPyramid(const Image2D &fixed, const Image2D &moving,
-                       const MiParams &params)
-{
-    // Build the pyramid until the coarse window is trivial or the
-    // images get too small to histogram meaningfully.
-    std::vector<std::pair<Image2D, Image2D>> levels;
-    levels.emplace_back(fixed, moving);
-    while (levelShift(params.maxShift, levels.size() - 1) > 2 &&
-           levels.back().first.width() / 2 >= kPyramidMinDim &&
-           levels.back().first.height() / 2 >= kPyramidMinDim) {
-        levels.emplace_back(downsample2(levels.back().first),
-                            downsample2(levels.back().second));
-    }
-
-    size_t evals = 0;
-    auto search = [&](size_t level, long cx, long cy, long radius) {
-        const Image2D &f = levels[level].first;
-        const Image2D &m = levels[level].second;
-        const QuantizedPlane qf = quantizePlane(f, params.bins);
-        const QuantizedPlane qm = quantizePlane(m, params.bins);
-        const auto cands = windowCandidates(
-            cx, cy, radius, levelShift(params.maxShift, level));
-        evals += cands.size();
-        return pickBest(cands, scoreCandidates(qf, qm, cands));
-    };
-
-    // Exhaustive at the coarsest level, then refine downward.
-    const size_t coarsest = levels.size() - 1;
-    std::pair<long, long> best = search(
-        coarsest, 0, 0, levelShift(params.maxShift, coarsest));
-    for (size_t level = coarsest; level-- > 0;) {
-        best = search(level, 2 * best.first, 2 * best.second,
-                      kPyramidRefineRadius);
-    }
-
-    if (telemetry::enabled()) {
-        telemetry::registry().counter("mi.pyramid.levels")
-            .add(levels.size());
-        telemetry::registry().counter("mi.pyramid.evals").add(evals);
-    }
+    if (planes.size() < 2)
+        return {};
+    const size_t pairs = planes.size() - 1;
+    const auto cands = windowCandidates(max_shift);
+    const size_t nc = cands.size();
+    std::vector<double> score(pairs * nc);
+    common::parallelFor(0, score.size(), kCandidateGrain,
+                        [&](size_t i0, size_t i1) {
+        MiWorkspace ws;
+        for (size_t i = i0; i < i1; ++i) {
+            const size_t k = i / nc;
+            score[i] = miAtShiftQ(planes[k], planes[k + 1],
+                                  cands[i % nc].first,
+                                  cands[i % nc].second, ws);
+        }
+    });
+    if (telemetry::enabled())
+        telemetry::registry().counter("mi.exhaustive.evals")
+            .add(score.size());
+    std::vector<std::pair<long, long>> best(pairs);
+    for (size_t k = 0; k < pairs; ++k)
+        best[k] = pickBest(cands, score.data() + k * nc);
     return best;
+}
+
+void
+checkBins(size_t bins, const char *what)
+{
+    if (bins < 2)
+        throw std::invalid_argument(std::string(what) + ": bins < 2");
+    if (bins > 65535)
+        throw std::invalid_argument(std::string(what) +
+                                    ": bins exceed uint16_t indices");
 }
 
 } // namespace
@@ -491,22 +435,29 @@ registerShiftMiPyramid(const Image2D &fixed, const Image2D &moving,
 QuantizedPlane
 quantizePlane(const Image2D &img, size_t bins)
 {
-    if (bins < 2)
-        throw std::invalid_argument("quantizePlane: bins < 2");
-    if (bins > 65535)
-        throw std::invalid_argument(
-            "quantizePlane: bins exceed uint16_t indices");
+    checkBins(bins, "quantizePlane");
     QuantizedPlane q;
     q.width = img.width();
     q.height = img.height();
     q.bins = bins;
-    q.idx.resize(img.size());
     const float lo = img.minValue();
     const float hi = img.maxValue();
     const float inv = (hi > lo) ? 1.0f / (hi - lo) : 0.0f;
     const std::vector<float> &d = img.data();
-    for (size_t i = 0; i < d.size(); ++i)
-        q.idx[i] = static_cast<uint16_t>(quantize(d[i], lo, inv, bins));
+    if (bins * bins <= kMiByteCells) {
+        q.fixedBytes.resize(d.size());
+        q.movingBytes.resize(d.size());
+        for (size_t i = 0; i < d.size(); ++i) {
+            const size_t b = quantize(d[i], lo, inv, bins);
+            q.fixedBytes[i] = static_cast<uint8_t>(b * bins);
+            q.movingBytes[i] = static_cast<uint8_t>(b);
+        }
+    } else {
+        q.idx.resize(d.size());
+        for (size_t i = 0; i < d.size(); ++i)
+            q.idx[i] =
+                static_cast<uint16_t>(quantize(d[i], lo, inv, bins));
+    }
     return q;
 }
 
@@ -515,13 +466,8 @@ mutualInformation(const Image2D &a, const Image2D &b, size_t bins)
 {
     if (a.width() != b.width() || a.height() != b.height())
         throw std::invalid_argument("mutualInformation: shape mismatch");
-    if (bins < 2)
-        throw std::invalid_argument("mutualInformation: bins < 2");
-    if (bins > 65535)
-        throw std::invalid_argument("mutualInformation: too many bins");
-    // One evaluation: the fused path skips the quantized-plane build.
-    MiWorkspace ws;
-    return miOneShotQ(a, b, 0, 0, bins, ws);
+    checkBins(bins, "mutualInformation");
+    return miOneShot(a, b, bins);
 }
 
 double
@@ -531,14 +477,10 @@ mutualInformationAtShift(const Image2D &a, const Image2D &b, long dx,
     if (a.width() != b.width() || a.height() != b.height())
         throw std::invalid_argument(
             "mutualInformationAtShift: shape mismatch");
-    if (bins < 2)
-        throw std::invalid_argument(
-            "mutualInformationAtShift: bins < 2");
-    if (bins > 65535)
-        throw std::invalid_argument(
-            "mutualInformationAtShift: too many bins");
+    checkBins(bins, "mutualInformationAtShift");
     MiWorkspace ws;
-    return miOneShotQ(a, b, dx, dy, bins, ws);
+    return miAtShiftQ(quantizePlane(a, bins), quantizePlane(b, bins), dx,
+                      dy, ws);
 }
 
 double
@@ -562,21 +504,41 @@ registerShiftMi(const Image2D &fixed, const Image2D &moving,
         fixed.height() != moving.height()) {
         throw std::invalid_argument("registerShiftMi: shape mismatch");
     }
-    if (params.strategy == MiStrategy::Pyramid)
-        return registerShiftMiPyramid(fixed, moving, params);
+    std::vector<QuantizedPlane> planes;
+    planes.reserve(2);
+    planes.push_back(quantizePlane(fixed, params.bins));
+    planes.push_back(quantizePlane(moving, params.bins));
+    return searchConsecutive(planes, params.maxShift).front();
+}
 
-    // Quantize each image exactly once; every candidate offset is
-    // independent, so score them all in parallel and pick the winner
-    // with the serial tie-break scan.
-    const QuantizedPlane qf = quantizePlane(fixed, params.bins);
-    const QuantizedPlane qm = quantizePlane(moving, params.bins);
-    const auto cands =
-        windowCandidates(0, 0, params.maxShift, params.maxShift);
-    const std::vector<double> score = scoreCandidates(qf, qm, cands);
-    if (telemetry::enabled())
-        telemetry::registry().counter("mi.exhaustive.evals")
-            .add(cands.size());
-    return pickBest(cands, score);
+std::vector<std::pair<long, long>>
+registerShiftMiChain(const Image2D *anchor,
+                     const std::vector<Image2D> &slices,
+                     const MiParams &params)
+{
+    if (slices.empty())
+        return {};
+    const Image2D &first = anchor ? *anchor : slices.front();
+    for (const Image2D &s : slices)
+        if (s.width() != first.width() || s.height() != first.height())
+            throw std::invalid_argument(
+                "registerShiftMiChain: shape mismatch");
+
+    // Quantize every slice once: it is the moving image of its own
+    // pair and the fixed image of the next.
+    const size_t lead = anchor ? 1 : 0;
+    std::vector<QuantizedPlane> planes(lead + slices.size());
+    common::parallelFor(0, planes.size(), 1, [&](size_t i0, size_t i1) {
+        for (size_t i = i0; i < i1; ++i)
+            planes[i] = quantizePlane(i < lead ? *anchor
+                                               : slices[i - lead],
+                                      params.bins);
+    });
+    std::vector<std::pair<long, long>> shifts =
+        searchConsecutive(planes, params.maxShift);
+    if (!anchor)
+        shifts.insert(shifts.begin(), {0, 0});
+    return shifts;
 }
 
 std::pair<long, long>
@@ -589,8 +551,7 @@ registerShiftMiReference(const Image2D &fixed, const Image2D &moving,
             "registerShiftMiReference: shape mismatch");
     }
     const MiRanges ranges = miRanges(fixed, moving);
-    const auto cands =
-        windowCandidates(0, 0, params.maxShift, params.maxShift);
+    const auto cands = windowCandidates(params.maxShift);
     std::vector<double> score(cands.size());
     common::parallelFor(0, cands.size(), kCandidateGrain,
                         [&](size_t i0, size_t i1) {
@@ -599,36 +560,7 @@ registerShiftMiReference(const Image2D &fixed, const Image2D &moving,
                                     cands[i].first, cands[i].second,
                                     params.bins);
     });
-    return pickBest(cands, score);
-}
-
-std::pair<double, double>
-registerShiftMiSubpixel(const Image2D &fixed, const Image2D &moving,
-                        const MiParams &params)
-{
-    const auto best = registerShiftMi(fixed, moving, params);
-    const QuantizedPlane qf = quantizePlane(fixed, params.bins);
-    const QuantizedPlane qm = quantizePlane(moving, params.bins);
-    MiWorkspace ws;
-
-    auto mi_at = [&](long dx, long dy) {
-        return miAtShiftQ(qf, qm, dx, dy, ws);
-    };
-    auto refine = [&](double m_minus, double m_0, double m_plus) {
-        const double denom = m_minus - 2.0 * m_0 + m_plus;
-        if (std::abs(denom) < 1e-12)
-            return 0.0;
-        const double delta = 0.5 * (m_minus - m_plus) / denom;
-        return std::clamp(delta, -0.5, 0.5);
-    };
-
-    const double m0 = mi_at(best.first, best.second);
-    const double fx = refine(mi_at(best.first - 1, best.second), m0,
-                             mi_at(best.first + 1, best.second));
-    const double fy = refine(mi_at(best.first, best.second - 1), m0,
-                             mi_at(best.first, best.second + 1));
-    return {static_cast<double>(best.first) + fx,
-            static_cast<double>(best.second) + fy};
+    return pickBest(cands, score.data());
 }
 
 double

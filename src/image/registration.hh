@@ -5,16 +5,21 @@
  * The paper aligns each FIB/SEM slice to its predecessor with Dragonfly's
  * mutual-information algorithm.  Planar-view fidelity requires residual
  * alignment error below 0.77% of the slice height, so we expose the
- * pairwise MI search (chained over the stack by scope::postprocess) and
- * the residual against ground truth.
+ * pairwise MI search, its chained form over a run of slices (what
+ * scope::postprocess calls per window) and the residual against ground
+ * truth.
  *
- * Fast path: both images are quantized into bin-index planes *once* per
- * registration, and every candidate offset accumulates an integer joint
- * histogram over those planes.  Bin assignment, counts, and the MI
- * arithmetic are exactly those of the straightforward per-candidate
- * re-quantization, so the scores — and therefore the recovered shifts —
- * are bitwise identical to the reference implementation (which is
- * retained below for the equivalence tests and bench baselines).
+ * Fast path: each image is quantized into bin-index planes *once*, and
+ * every candidate offset counts an integer joint histogram over those
+ * planes.  With bins * bins <= 256 the planes are bytes (idx * bins for
+ * the fixed image, idx for the moving one), so a joint bin is one byte
+ * add; the counts go into four interleaved sub-histograms summed at the
+ * end.  One scorer serves every search: registerShiftMi is a chain of
+ * one pair.  Bin assignment, counts, and the MI arithmetic are exactly
+ * those of the straightforward per-candidate re-quantization, so the
+ * scores — and therefore the recovered shifts — are bitwise identical to
+ * the reference implementation (retained below for the equivalence
+ * tests).
  */
 
 #ifndef HIFI_IMAGE_REGISTRATION_HH
@@ -32,23 +37,6 @@ namespace hifi
 namespace image
 {
 
-/** Shift-search strategy for registerShiftMi. */
-enum class MiStrategy
-{
-    /// Score every offset in the full window.  The default: exact by
-    /// construction, and the result the equivalence tests pin down.
-    Exhaustive,
-
-    /**
-     * Coarse-to-fine: exhaustive search on a downsampled pyramid
-     * level, then a small refinement window per finer level.  Several
-     * times fewer candidate evaluations at large windows, but a
-     * heuristic — a peak that only emerges at full resolution can be
-     * missed — which is why it is opt-in rather than the default.
-     */
-    Pyramid,
-};
-
 /** Parameters for the MI shift search. */
 struct MiParams
 {
@@ -56,23 +44,25 @@ struct MiParams
     size_t bins = 32;
 
     /// Search window: shifts in [-maxShift, maxShift] on both axes.
+    /// Every offset in the window is scored.
     long maxShift = 8;
-
-    /// Candidate enumeration strategy (Exhaustive unless opted in).
-    MiStrategy strategy = MiStrategy::Exhaustive;
 };
 
 /**
  * One image pre-quantized into contiguous bin indices (row-major, same
  * layout as the source Image2D).  Building this once per image is what
- * lets the shift search drop the per-candidate re-quantization.
+ * lets the shift search drop the per-candidate re-quantization.  Only
+ * one form is filled: the byte planes when bins * bins <= 256, else
+ * idx.
  */
 struct QuantizedPlane
 {
     size_t width = 0;
     size_t height = 0;
     size_t bins = 0;
-    std::vector<uint16_t> idx; ///< bin index per pixel, < bins
+    std::vector<uint8_t> fixedBytes;  ///< bin * bins (as the fixed image)
+    std::vector<uint8_t> movingBytes; ///< bin (as the moving image)
+    std::vector<uint16_t> idx;        ///< bin index per pixel, < bins
 };
 
 /**
@@ -91,8 +81,8 @@ double mutualInformation(const Image2D &a, const Image2D &b,
 
 /**
  * MI over the overlap of `a` and `b` when b is conceptually translated
- * by (dx, dy) — the per-candidate score of the shift search, exposed
- * for the equivalence tests.  Fast quantized-plane path.
+ * by (dx, dy): quantizes both images and runs the shift search's
+ * per-candidate scorer, exposed for the equivalence tests.
  */
 double mutualInformationAtShift(const Image2D &a, const Image2D &b,
                                 long dx, long dy, size_t bins = 32);
@@ -100,8 +90,8 @@ double mutualInformationAtShift(const Image2D &a, const Image2D &b,
 /**
  * Reference implementation of mutualInformationAtShift that
  * re-quantizes both images per call (the original algorithm).
- * Retained as the ground truth for the bitwise-equivalence tests and
- * as the bench baseline; not used on the hot path.
+ * Retained as the ground truth for the bitwise-equivalence tests;
+ * not used on the hot path.
  */
 double mutualInformationAtShiftReference(const Image2D &a,
                                          const Image2D &b, long dx,
@@ -120,22 +110,23 @@ std::pair<long, long> registerShiftMi(const Image2D &fixed,
                                       const MiParams &params = {});
 
 /**
- * Reference exhaustive search scoring every candidate with the
- * re-quantizing MI (same tie-break rule).  Retained for the
- * equivalence tests and the bench baseline.
+ * registerShiftMi of every slice against its predecessor: element i is
+ * registerShiftMi(slices[i - 1], slices[i], params), with `anchor`
+ * standing in for slices[-1] (no anchor: element 0 is {0, 0}).
+ * Each slice is quantized once, and every (pair, candidate) score runs
+ * in one parallel fan-out.  Bitwise identical to calling
+ * registerShiftMi pair by pair, at any thread count.
  */
-std::pair<long, long> registerShiftMiReference(
-    const Image2D &fixed, const Image2D &moving,
+std::vector<std::pair<long, long>> registerShiftMiChain(
+    const Image2D *anchor, const std::vector<Image2D> &slices,
     const MiParams &params = {});
 
 /**
- * Sub-pixel refinement of the best integer shift: fits a parabola to
- * the MI values at the integer optimum and its neighbours on each
- * axis and returns the fractional peak position.  Accuracy ~0.1 px on
- * structured images, which is what the 0.77% alignment budget needs
- * at small slice heights.
+ * Reference exhaustive search scoring every candidate with the
+ * re-quantizing MI (same tie-break rule).  Retained for the
+ * equivalence tests.
  */
-std::pair<double, double> registerShiftMiSubpixel(
+std::pair<long, long> registerShiftMiReference(
     const Image2D &fixed, const Image2D &moving,
     const MiParams &params = {});
 

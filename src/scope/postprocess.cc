@@ -16,11 +16,12 @@ namespace
 {
 
 /**
- * Slices per drain.  Each drain fans the window's denoise and its
- * pairwise registrations out over the pool one slice per task, so the
- * window must hold enough slices to keep every worker busy; beyond
- * that it only grows the buffered frames.  The width never changes a
- * bit (see StreamingPostprocessor).
+ * Slices per drain.  Each drain fans the window's denoise out over the
+ * pool one slice per task, so the window must hold enough slices to
+ * keep every worker busy; beyond that it only grows the buffered
+ * frames.  (The registrations fan out per (pair, candidate) and spread
+ * at any width.)  The width never changes a bit (see
+ * StreamingPostprocessor).
  */
 constexpr size_t kWindowSlices = 8;
 
@@ -133,23 +134,13 @@ StreamingPostprocessor::drainWindow()
     // 2. Pairwise MI registration against each slice's predecessor
     //    (the previous window's last denoised slice anchors i == 0),
     //    then the sequential accumulation into slice-0 coordinates.
-    std::vector<std::pair<long, long>> pairwise(n, {0, 0});
     {
         const telemetry::Span register_span("image.register");
-        common::parallelFor(0, n, 1, [&](size_t i0, size_t i1) {
-            for (size_t i = i0; i < i1; ++i) {
-                if (i == 0 && !havePrev_)
-                    continue; // global slice 0: identity shift
-                const image::Image2D &fixed =
-                    i == 0 ? prevDenoised_ : den[i - 1];
-                pairwise[i] =
-                    image::registerShiftMi(fixed, den[i], params_.mi);
-            }
-        });
+        const auto pairwise = image::registerShiftMiChain(
+            havePrev_ ? &prevDenoised_ : nullptr, den, params_.mi);
         for (size_t i = 0; i < n; ++i) {
-            // registerShiftMi returns the offset of slice i relative
-            // to slice i-1; accumulate to express it relative to
-            // slice 0.
+            // The chain returns the offset of slice i relative to
+            // slice i-1; accumulate to express it relative to slice 0.
             if (assembled_ + i > 0) {
                 accX_ += -pairwise[i].first;
                 accY_ += -pairwise[i].second;

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "common/telemetry.hh"
@@ -254,17 +255,6 @@ TEST(Registration, RecoversKnownShift)
     EXPECT_EQ(shift.second, 2);
 }
 
-TEST(Registration, SubpixelRefinementStaysNearIntegerTruth)
-{
-    Rng rng(12);
-    Image2D fixed = testPattern(60, 50);
-    image::addGaussianNoise(fixed, 0.02, rng);
-    Image2D moving = fixed.shifted(2, -3);
-    const auto sub = image::registerShiftMiSubpixel(fixed, moving);
-    EXPECT_NEAR(sub.first, -2.0, 0.5);
-    EXPECT_NEAR(sub.second, 3.0, 0.5);
-}
-
 TEST(Registration, ResidualDetectsMisalignment)
 {
     const std::vector<std::pair<long, long>> truth = {
@@ -342,7 +332,7 @@ TEST(Registration, QuantizedMiIsBitwiseIdenticalToReference)
         const long max_dy = static_cast<long>(h) + 1;
         for (long dy = -max_dy; dy <= max_dy; ++dy) {
             for (long dx = -max_dx; dx <= max_dx; ++dx) {
-                for (const size_t bins : {2u, 16u, 32u}) {
+                for (const size_t bins : {2u, 15u, 16u, 17u, 32u}) {
                     const double fast = image::mutualInformationAtShift(
                         a, b, dx, dy, bins);
                     const double ref =
@@ -378,11 +368,65 @@ TEST(Registration, FastSearchMatchesReferenceSearch)
     }
 }
 
+TEST(Registration, ChainMatchesPairwiseReference)
+{
+    // A drifting run of noisy frames, registered as one chain with and
+    // without an anchor, at several thread counts and at both plane
+    // widths (byte planes at 16 bins, uint16 indices at 32).
+    Rng rng(57);
+    const Image2D base = testPattern(60, 50);
+    const Image2D anchor = base.shifted(1, 0);
+    std::vector<Image2D> slices;
+    for (long i = 0; i < 5; ++i) {
+        Image2D s = base.shifted(i % 3 - 1, 2 - i);
+        image::addGaussianNoise(s, 0.05, rng);
+        slices.push_back(std::move(s));
+    }
+    for (const size_t bins : {16u, 32u}) {
+        const image::MiParams mi{bins, 4};
+        std::vector<std::pair<long, long>> anchored, unanchored;
+        anchored.push_back(
+            image::registerShiftMiReference(anchor, slices[0], mi));
+        unanchored.emplace_back(0, 0);
+        for (size_t i = 1; i < slices.size(); ++i) {
+            const auto ref = image::registerShiftMiReference(
+                slices[i - 1], slices[i], mi);
+            anchored.push_back(ref);
+            unanchored.push_back(ref);
+        }
+        for (const size_t threads : {1u, 3u, 8u}) {
+            common::ScopedThreads scoped(threads);
+            const std::string label = "bins " + std::to_string(bins) +
+                " threads " + std::to_string(threads);
+            EXPECT_EQ(image::registerShiftMiChain(&anchor, slices, mi),
+                      anchored)
+                << label;
+            EXPECT_EQ(image::registerShiftMiChain(nullptr, slices, mi),
+                      unanchored)
+                << label;
+        }
+    }
+    EXPECT_TRUE(image::registerShiftMiChain(&anchor, {}, {}).empty());
+    EXPECT_THROW(
+        image::registerShiftMiChain(&anchor, {Image2D(5, 5)}, {}),
+        std::invalid_argument);
+}
+
 TEST(Registration, QuantizePlaneMatchesReferenceBinning)
 {
     const Image2D img = noisyImage(13, 9, 5);
     const auto q = image::quantizePlane(img, 32);
     ASSERT_EQ(q.idx.size(), img.size());
+    EXPECT_TRUE(q.fixedBytes.empty());
+    // At 16 bins the plane is two bytes per pixel instead: idx * bins
+    // and idx, the same bin assignment.
+    const auto b = image::quantizePlane(img, 16);
+    ASSERT_EQ(b.movingBytes.size(), img.size());
+    ASSERT_EQ(b.fixedBytes.size(), img.size());
+    EXPECT_TRUE(b.idx.empty());
+    for (size_t i = 0; i < img.size(); ++i)
+        EXPECT_EQ(b.fixedBytes[i], b.movingBytes[i] * 16u);
+    EXPECT_EQ(image::quantizePlane(img, 17).idx.size(), img.size());
     // Self-MI through the plane must equal the reference self-MI:
     // only possible if every pixel landed in the reference's bin.
     expectSameBits(
@@ -408,46 +452,35 @@ TEST(Registration, ConstantImagesTieBreakToZeroShift)
     EXPECT_EQ(ref, (std::pair<long, long>{0, 0}));
 }
 
-TEST(Registration, PyramidAgreesWithExhaustiveOnStructuredImages)
-{
-    Rng rng(17);
-    Image2D fixed = testPattern(128, 96);
-    image::addGaussianNoise(fixed, 0.03, rng);
-    const Image2D moving = fixed.shifted(5, -4);
-
-    image::MiParams exhaustive;
-    exhaustive.maxShift = 16;
-    image::MiParams pyramid = exhaustive;
-    pyramid.strategy = image::MiStrategy::Pyramid;
-
-    EXPECT_EQ(image::registerShiftMi(fixed, moving, pyramid),
-              image::registerShiftMi(fixed, moving, exhaustive));
-}
-
 TEST(Registration, TelemetryCountsCandidateEvaluations)
 {
     const Image2D fixed = testPattern(64, 48);
     const Image2D moving = fixed.shifted(2, -1);
 
-    telemetry::Session session;
+    const auto evals = [](const auto &run) -> uint64_t {
+        telemetry::Session session;
+        run();
+        const auto collected = session.finish({});
+        const auto &counters = collected->metrics.counters;
+        const auto it = counters.find("mi.exhaustive.evals");
+        return it == counters.end() ? 0 : it->second;
+    };
     image::MiParams mi;
     mi.maxShift = 4;
-    (void)image::registerShiftMi(fixed, moving, mi);
-    mi.maxShift = 16;
-    mi.strategy = image::MiStrategy::Pyramid;
-    (void)image::registerShiftMi(fixed, moving, mi);
-    const auto collected = session.finish({});
-
-    const auto &counters = collected->metrics.counters;
-    ASSERT_TRUE(counters.count("mi.exhaustive.evals"));
     // Exhaustive at maxShift 4 scores the full (2*4+1)^2 window.
-    EXPECT_EQ(counters.at("mi.exhaustive.evals"), 81u);
-    ASSERT_TRUE(counters.count("mi.pyramid.evals"));
-    ASSERT_TRUE(counters.count("mi.pyramid.levels"));
-    // The pyramid's point: far fewer candidates than the 1089 the
-    // exhaustive scan would score at maxShift 16.
-    EXPECT_LT(counters.at("mi.pyramid.evals"), 1089u / 3);
-    EXPECT_GE(counters.at("mi.pyramid.levels"), 2u);
+    EXPECT_EQ(evals([&] { (void)image::registerShiftMi(fixed, moving, mi); }),
+              81u);
+    // A chain scores the full window once per pair: three slices
+    // after an anchor are three pairs, without one they are two.
+    const std::vector<Image2D> slices = {moving, fixed, moving};
+    EXPECT_EQ(evals([&] {
+                  (void)image::registerShiftMiChain(&fixed, slices, mi);
+              }),
+              3u * 81u);
+    EXPECT_EQ(evals([&] {
+                  (void)image::registerShiftMiChain(nullptr, slices, mi);
+              }),
+              2u * 81u);
 }
 
 TEST(Denoise, TinyToleranceIsBitwiseIdenticalToFixedIterations)
@@ -672,7 +705,7 @@ TEST(Simd, MutualInformationMatchesReferenceOnBothPaths)
 {
     const Image2D a = simdNoisy(37, 29, 5);
     const Image2D b = simdNoisy(37, 29, 6);
-    for (const size_t bins : {16u, 64u, 256u}) {
+    for (const size_t bins : {15u, 16u, 17u, 64u, 256u}) {
         for (const long dy : {-3l, 0l, 2l})
             for (const long dx : {-2l, 0l, 5l}) {
                 const double ref =

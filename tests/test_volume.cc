@@ -586,10 +586,7 @@ TEST(StreamingPostprocess, BitwiseIdenticalToSerialReference)
     const auto robust = scope::acquireRobust(
         vol, sceneParams(), noisyFaults(), scope::RecoveryParams{},
         33);
-    const scope::PostprocessParams pp;
     const size_t n = robust.stack.slices.size();
-
-    const auto reference = testref::postprocess(robust.stack, pp);
 
     // Window widths: one slice per drain, an odd width, the chain's
     // own width (0) and one wider than the whole stack.
@@ -598,42 +595,54 @@ TEST(StreamingPostprocess, BitwiseIdenticalToSerialReference)
     // assembly churns seal/reload.
     const size_t edge = 16;
     const size_t dirty = 2 * edge * edge * edge * sizeof(float);
-    for (const bool tiled : {false, true}) {
-        for (const size_t threads : {1u, 2u, 8u}) {
-            for (const size_t window : windows) {
-                const std::string label =
-                    std::string(tiled ? "tiled" : "dense") +
-                    " threads=" + std::to_string(threads) +
-                    " window=" + std::to_string(window);
-                common::ScopedThreads scoped(threads);
-                std::optional<TileStore> store;
-                if (tiled) {
-                    TileStoreConfig cfg;
-                    cfg.dir = scratchDir(
-                        "pp_" + std::to_string(threads) + "_" +
-                        std::to_string(window));
-                    store.emplace(std::move(cfg));
-                }
-                auto result = scope::postprocessChecked(
-                    robust.stack, store ? &*store : nullptr, pp, edge,
-                    dirty, window);
-                ASSERT_TRUE(result.ok()) << label;
-                const scope::PostprocessResult &r = result.value();
-                EXPECT_EQ(r.shifts, reference.shifts) << label;
-                EXPECT_EQ(r.alignmentResidualPx,
-                          reference.alignmentResidualPx)
-                    << label;
-                EXPECT_EQ(r.tiled.empty(), !tiled) << label;
-                EXPECT_EQ(r.volume.empty(), tiled) << label;
-                if (tiled) {
-                    auto back = r.tiled.toDense();
-                    ASSERT_TRUE(back.ok()) << label;
-                    EXPECT_TRUE(
-                        bitwiseEqual(back.value(), reference.volume))
+    // The default parameters (32 bins) and the pipeline's own (16
+    // bins, maxShift 6: core/stages.cc), which take the byte-plane
+    // MI kernel.
+    scope::PostprocessParams production;
+    production.mi.bins = 16;
+    production.mi.maxShift = 6;
+    for (const scope::PostprocessParams &pp :
+         {scope::PostprocessParams{}, production}) {
+        const auto reference = testref::postprocess(robust.stack, pp);
+        for (const bool tiled : {false, true}) {
+            for (const size_t threads : {1u, 2u, 8u}) {
+                for (const size_t window : windows) {
+                    const std::string label =
+                        std::string(tiled ? "tiled" : "dense") +
+                        " bins=" + std::to_string(pp.mi.bins) +
+                        " threads=" + std::to_string(threads) +
+                        " window=" + std::to_string(window);
+                    common::ScopedThreads scoped(threads);
+                    std::optional<TileStore> store;
+                    if (tiled) {
+                        TileStoreConfig cfg;
+                        cfg.dir = scratchDir(
+                            "pp_" + std::to_string(threads) + "_" +
+                            std::to_string(window));
+                        store.emplace(std::move(cfg));
+                    }
+                    auto result = scope::postprocessChecked(
+                        robust.stack, store ? &*store : nullptr, pp,
+                        edge, dirty, window);
+                    ASSERT_TRUE(result.ok()) << label;
+                    const scope::PostprocessResult &r = result.value();
+                    EXPECT_EQ(r.shifts, reference.shifts) << label;
+                    EXPECT_EQ(r.alignmentResidualPx,
+                              reference.alignmentResidualPx)
                         << label;
-                } else {
-                    EXPECT_TRUE(bitwiseEqual(r.volume, reference.volume))
-                        << label;
+                    EXPECT_EQ(r.tiled.empty(), !tiled) << label;
+                    EXPECT_EQ(r.volume.empty(), tiled) << label;
+                    if (tiled) {
+                        auto back = r.tiled.toDense();
+                        ASSERT_TRUE(back.ok()) << label;
+                        EXPECT_TRUE(bitwiseEqual(back.value(),
+                                                 reference.volume))
+                            << label;
+                    } else {
+                        EXPECT_TRUE(
+                            bitwiseEqual(r.volume, reference.volume))
+                            << label;
+                    }
                 }
             }
         }
