@@ -1,10 +1,13 @@
 #include "image/qc.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/stats.hh"
-#include "image/registration.hh"
 
 namespace hifi
 {
@@ -51,6 +54,86 @@ profileRms(const std::vector<double> &profile)
     return std::sqrt(var / static_cast<double>(profile.size()));
 }
 
+/// Radix digit of the median select: 2048 buckets per round.
+constexpr int kDigitBits = 11;
+
+/// Candidate sets this small go straight to nth_element.
+constexpr size_t kSmallSet = 64;
+
+/**
+ * common::median of non-negative, non-NaN doubles given as their bit
+ * patterns (which order like the values as uint64_t), bit for bit:
+ * rank n / 2, and for even n the mean of it and rank n / 2 - 1.  Each
+ * round histograms the next kDigitBits bits, starting with the
+ * exponent, and keeps only the bucket that holds both ranks.  When the
+ * two ranks of an even count land in different buckets, they are the
+ * largest key of the lower one and the smallest of the upper one.
+ * `keys` must be non-empty; `pick` is scratch.
+ */
+double
+medianOfKeys(const std::vector<uint64_t> &keys, std::vector<uint64_t> &pick)
+{
+    const size_t n = keys.size();
+    size_t hi = n / 2;
+    size_t lo = n % 2 ? hi : hi - 1;
+    const auto mean = [n](uint64_t klo, uint64_t khi) {
+        const double vhi = std::bit_cast<double>(khi);
+        return n % 2 ? vhi : 0.5 * (std::bit_cast<double>(klo) + vhi);
+    };
+
+    pick.resize(n);
+    const uint64_t *cur = keys.data();
+    size_t m = n;
+    std::array<uint32_t, size_t{1} << kDigitBits> count;
+    for (int shift = 52; m > kSmallSet; shift -= kDigitBits) {
+        shift = std::max(shift, 0);
+        const auto digit = [shift](uint64_t k) {
+            return static_cast<size_t>(k >> shift) &
+                ((size_t{1} << kDigitBits) - 1);
+        };
+        count.fill(0);
+        for (size_t i = 0; i < m; ++i)
+            ++count[digit(cur[i])];
+        size_t below = 0, first = 0;
+        while (below + count[first] <= lo)
+            below += count[first++];
+        size_t last = first, upto = below + count[first];
+        while (upto <= hi)
+            upto += count[++last];
+        if (first != last) {
+            uint64_t klo = 0, khi = ~uint64_t{0};
+            for (size_t i = 0; i < m; ++i) {
+                const size_t d = digit(cur[i]);
+                if (d == first)
+                    klo = std::max(klo, cur[i]);
+                else if (d == last)
+                    khi = std::min(khi, cur[i]);
+            }
+            return mean(klo, khi);
+        }
+        // Keep bucket `first` (in place after the first round: the
+        // write index never passes the read index).
+        size_t kept = 0;
+        for (size_t i = 0; i < m; ++i) {
+            const uint64_t k = cur[i];
+            pick[kept] = k;
+            kept += digit(k) == first;
+        }
+        cur = pick.data();
+        m = kept;
+        lo -= below;
+        hi -= below;
+        if (shift == 0)
+            break; // every kept key is equal
+    }
+    const auto begin = pick.begin();
+    if (cur == keys.data())
+        std::copy(keys.begin(), keys.end(), begin);
+    std::nth_element(begin, begin + hi, begin + m);
+    const uint64_t khi = begin[hi];
+    return mean(lo == hi ? khi : *std::max_element(begin, begin + hi), khi);
+}
+
 } // namespace
 
 double
@@ -58,18 +141,20 @@ estimateNoiseSigma(const Image2D &img)
 {
     if (img.width() < 3 || img.height() < 3)
         return 0.0;
-    std::vector<double> lap;
-    lap.reserve((img.width() - 2) * (img.height() - 2));
+    const size_t w = img.width();
+    thread_local std::vector<uint64_t> keys, pick;
+    keys.resize((w - 2) * (img.height() - 2));
+    uint64_t *out = keys.data();
     for (size_t y = 1; y + 1 < img.height(); ++y) {
-        for (size_t x = 1; x + 1 < img.width(); ++x) {
-            const double l = img.at(x - 1, y) + img.at(x + 1, y) +
-                img.at(x, y - 1) + img.at(x, y + 1) -
-                4.0 * img.at(x, y);
-            lap.push_back(std::abs(l));
+        const float *up = img.row(y - 1), *mid = img.row(y),
+                    *down = img.row(y + 1);
+        for (size_t x = 1; x + 1 < w; ++x) {
+            const double l =
+                mid[x - 1] + mid[x + 1] + up[x] + down[x] - 4.0 * mid[x];
+            *out++ = std::bit_cast<uint64_t>(std::abs(l));
         }
     }
-    return kMadToSigma * common::median(std::move(lap)) /
-        kLaplacianNorm;
+    return kMadToSigma * medianOfKeys(keys, pick) / kLaplacianNorm;
 }
 
 double
@@ -205,26 +290,27 @@ QcMonitor::QcMonitor(QcThresholds thresholds)
 }
 
 QcMetrics
-QcMonitor::evaluate(const Image2D &slice) const
+QcMonitor::evaluate(const Image2D &slice)
 {
     QcMetrics m = computeQcMetrics(slice, thresholds_);
+    candidate_ = slice;
+    candidatePlane_ = quantizePlane(slice, thresholds_.miBins);
+    haveCandidate_ = true;
 
     // Neighbour consistency first: the recovered shift also aligns the
     // stripe differential below, so ordinary stage drift between
     // consecutive slices does not masquerade as curtaining.
     bool aligned_stripes = false;
-    if (hasPrev_ && prev_.width() == slice.width() &&
-        prev_.height() == slice.height()) {
-        MiParams mi;
-        mi.bins = thresholds_.miBins;
-        mi.maxShift = thresholds_.shiftSearchPx;
-        const auto shift = registerShiftMi(prev_, slice, mi);
+    if (hasPrev_ && prevPlane_.width == slice.width() &&
+        prevPlane_.height == slice.height()) {
+        const auto shift = registerShiftMi(prevPlane_, candidatePlane_,
+                                           thresholds_.shiftSearchPx);
         m.shiftX = shift.first;
         m.shiftY = shift.second;
         const Image2D aligned =
             slice.shifted(shift.first, shift.second);
-        m.miVsPrev =
-            mutualInformation(prev_, aligned, thresholds_.miBins);
+        m.miVsPrev = mutualInformation(
+            prevPlane_, quantizePlane(aligned, thresholds_.miBins));
         // The reference goes stale by one slice per rejected slice;
         // allow the credible shift to grow by one pixel of scene
         // motion per gap slice.  (Growing it faster also covers
@@ -282,7 +368,19 @@ QcMonitor::evaluate(const Image2D &slice) const
 void
 QcMonitor::accept(const Image2D &slice, const QcMetrics &metrics)
 {
-    prev_ = slice;
+    // Callers accept the frame they just evaluated; anything else is
+    // quantized here.  The check is a memcmp of one frame.
+    const bool evaluated = haveCandidate_ &&
+        candidate_.width() == slice.width() &&
+        candidate_.height() == slice.height() &&
+        (slice.empty() ||
+         std::memcmp(candidate_.data().data(), slice.data().data(),
+                     slice.size() * sizeof(float)) == 0);
+    if (evaluated)
+        std::swap(prevPlane_, candidatePlane_);
+    else
+        prevPlane_ = quantizePlane(slice, thresholds_.miBins);
+    haveCandidate_ = false;
     prevProfile_ = smoothedColumnProfile(slice);
     hasPrev_ = true;
     gapSinceAccept_ = 0;

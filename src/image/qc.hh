@@ -11,7 +11,7 @@
  *
  *  - SNR estimate: scene variance over noise variance, with the noise
  *    sigma estimated from the median absolute Laplacian (immune to the
- *    scene's own edges).
+ *    scene's own edges), found by an exact radix select.
  *  - Focus score: mean squared gradient (Tenengrad); defocus is
  *    detected *relative* to the recent history median, since the
  *    absolute value depends on the scene.
@@ -28,7 +28,9 @@
  *    beyond the instrument's re-registration bound.
  *
  * All functions are deterministic and, through the parallel kernels
- * they call, thread-count invariant.
+ * they call, thread-count invariant.  QcMonitor quantizes each frame
+ * for MI once: the accepted reference keeps its plane across calls,
+ * and accept() adopts the plane the evaluated candidate already got.
  */
 
 #ifndef HIFI_IMAGE_QC_HH
@@ -38,6 +40,7 @@
 #include <vector>
 
 #include "image/image2d.hh"
+#include "image/registration.hh"
 
 namespace hifi
 {
@@ -114,7 +117,8 @@ struct QcMetrics
     bool flagged() const { return flags != 0; }
 };
 
-/// Noise sigma estimate from the median absolute interior Laplacian.
+/// Noise sigma estimate from the median absolute interior Laplacian
+/// (the median is common::median's, found without sorting).
 double estimateNoiseSigma(const Image2D &img);
 
 /// Mean squared gradient (Tenengrad focus measure).
@@ -158,10 +162,17 @@ class QcMonitor
   public:
     explicit QcMonitor(QcThresholds thresholds = {});
 
-    /// Evaluate a candidate slice (does not update the history).
-    QcMetrics evaluate(const Image2D &slice) const;
+    /**
+     * Evaluate a candidate slice.  Does not update the history; keeps
+     * the candidate and its quantized plane for accept().
+     */
+    QcMetrics evaluate(const Image2D &slice);
 
-    /// Commit an accepted slice (and its metrics) to the history.
+    /**
+     * Commit an accepted slice (and its metrics) to the history.  When
+     * `slice` is bitwise the last evaluated candidate, its plane is
+     * adopted; any other slice is quantized afresh.
+     */
     void accept(const Image2D &slice, const QcMetrics &metrics);
 
     /**
@@ -178,9 +189,12 @@ class QcMonitor
 
   private:
     QcThresholds thresholds_;
-    Image2D prev_;
+    QuantizedPlane prevPlane_; ///< the accepted reference, for MI
     std::vector<double> prevProfile_;
     bool hasPrev_ = false;
+    Image2D candidate_; ///< last evaluated slice, matched by accept()
+    QuantizedPlane candidatePlane_;
+    bool haveCandidate_ = false;
     size_t gapSinceAccept_ = 0;
     std::vector<double> focusHistory_;
     std::vector<double> miHistory_;

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "common/parallel.hh"
 #include "common/simd.hh"
 #include "common/telemetry.hh"
+#include "image/mi_bins.hh"
 
 #if HIFI_SIMD_AVX2_COMPILED
 #include <immintrin.h>
@@ -22,114 +24,42 @@ namespace image
 namespace
 {
 
+using detail::quantize;
+
 /// (pair, candidate) items per parallel chunk in the MI shift search.
 constexpr size_t kCandidateGrain = 4;
 
 /// Joint cells the byte planes can address: ia * bins + ib is one
-/// byte add while bins * bins fits in a byte (bins <= 16).
+/// byte add while bins * bins fits in a byte (bins <= 16).  Each byte
+/// sub-histogram spans all 256 cells, so every offset is a constant.
 constexpr size_t kMiByteCells = 256;
 
-/// Sub-histograms the search counts into (pixel k goes to k % 4).
-constexpr size_t kMiSubHists = 4;
+/// Interleaved sub-histograms the counting loop spreads pixels over
+/// (pixel k into k % kMiSubHists, one per byte of an 8-byte load).
+/// Neighbouring pixels often share a joint bin; one histogram would
+/// chain each increment on the previous store.  Eight beat four on
+/// denoised frames (81-85% of neighbours share a bin) and tie on raw
+/// QC frames.
+constexpr size_t kMiSubHists = 8;
 
-/// Quantize an intensity into [0, bins).
-inline size_t
-quantize(float v, float lo, float inv_range, size_t bins)
-{
-    double t = (v - lo) * inv_range;
-    t = std::clamp(t, 0.0, 1.0 - 1e-9);
-    return static_cast<size_t>(t * static_cast<double>(bins));
-}
-
-/// Intensity ranges of both images, hoisted out of the shift search.
-struct MiRanges
-{
-    float alo, ainv, blo, binv;
-};
-
-MiRanges
-miRanges(const Image2D &a, const Image2D &b)
-{
-    MiRanges r;
-    r.alo = a.minValue();
-    const float ahi = a.maxValue();
-    r.blo = b.minValue();
-    const float bhi = b.maxValue();
-    r.ainv = (ahi > r.alo) ? 1.0f / (ahi - r.alo) : 0.0f;
-    r.binv = (bhi > r.blo) ? 1.0f / (bhi - r.blo) : 0.0f;
-    return r;
-}
-
-/**
- * Reference MI at a shift: quantizes both images pixel by pixel for
- * this one candidate.  Every fast path below must reproduce its
- * result bit for bit (asserted by tests/test_image.cc).
- */
-double
-miAtShiftRef(const Image2D &a, const Image2D &b, const MiRanges &r,
-             long dx, long dy, size_t bins)
-{
-    const long w = static_cast<long>(a.width());
-    const long h = static_cast<long>(a.height());
-
-    std::vector<double> joint(bins * bins, 0.0);
-    std::vector<double> pa(bins, 0.0), pb(bins, 0.0);
-    size_t n = 0;
-
-    const long x0 = std::max(0l, dx), x1 = std::min(w, w + dx);
-    const long y0 = std::max(0l, dy), y1 = std::min(h, h + dy);
-    for (long y = y0; y < y1; ++y) {
-        for (long x = x0; x < x1; ++x) {
-            const size_t ia = quantize(
-                a.at(static_cast<size_t>(x), static_cast<size_t>(y)),
-                r.alo, r.ainv, bins);
-            const size_t ib = quantize(
-                b.at(static_cast<size_t>(x - dx),
-                     static_cast<size_t>(y - dy)),
-                r.blo, r.binv, bins);
-            joint[ia * bins + ib] += 1.0;
-            ++n;
-        }
-    }
-    if (n == 0)
-        return 0.0;
-
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (size_t i = 0; i < bins; ++i) {
-        for (size_t j = 0; j < bins; ++j) {
-            const double p = joint[i * bins + j] * inv_n;
-            pa[i] += p;
-            pb[j] += p;
-        }
-    }
-    double mi = 0.0;
-    for (size_t i = 0; i < bins; ++i) {
-        if (pa[i] <= 0.0)
-            continue;
-        for (size_t j = 0; j < bins; ++j) {
-            const double p = joint[i * bins + j] * inv_n;
-            if (p > 0.0 && pb[j] > 0.0)
-                mi += p * std::log(p / (pa[i] * pb[j]));
-        }
-    }
-    return mi;
-}
-
-/// Reusable per-worker buffers for the quantized MI accumulation.
+/// Reusable per-thread buffers for the quantized MI accumulation.
 struct MiWorkspace
 {
-    std::vector<uint32_t> sub;   ///< kMiSubHists joint histograms
-    std::vector<uint32_t> joint; ///< their sum
-    std::vector<uint32_t> idx;   ///< joint indices (one-shot SIMD path)
+    std::vector<uint8_t> bytes;   ///< joint bins of the overlap
+    std::vector<uint32_t> sub;    ///< joint sub-histograms
+    std::vector<uint32_t> joint;  ///< their sum
     std::vector<uint32_t> filled; ///< non-empty cells, row-major
     std::vector<double> pa, pb;
 };
 
-/// The one-shot SIMD index math runs in epi32 lanes: gate at 4096 bins
-/// so ia * bins + ib stays far below 2^31 (4096^2 ~ 2^24).  Larger bin
-/// counts (rare; the entry points allow up to 65535) take the scalar
-/// loop, which uses size_t throughout.
-constexpr size_t kMiSimdMaxBins = 4096;
+/// The calling thread's workspace: pool workers live for the whole
+/// process, so after the first evaluations scoring allocates nothing.
+MiWorkspace &
+threadWorkspace()
+{
+    thread_local MiWorkspace ws;
+    return ws;
+}
 
 #if HIFI_SIMD_AVX2_COMPILED
 
@@ -150,85 +80,190 @@ quantize4Avx2(__m128 v, __m128 vlo, __m128 vinv, __m256d vbins,
     return _mm256_cvttpd_epi32(_mm256_mul_pd(t, vbins));
 }
 
-/// Fused one-shot row kernel: quantize both images on the fly and emit
-/// joint indices, no intermediate QuantizedPlane.
-HIFI_AVX2_TARGET inline void
-quantIndicesAvx2(const float *pa, const float *pb, size_t count,
-                 const MiRanges &r, uint32_t bins, uint32_t *out)
+/**
+ * binRange of d[0, n), n > 0, in one vector pass.  Without NaNs the
+ * minimum and maximum are the values std::min_element and
+ * std::max_element find, up to the sign of a zero, which no bin
+ * depends on: lo only enters as v - lo and hi - lo.
+ */
+HIFI_AVX2_TARGET detail::BinRange
+binRangeAvx2(const float *d, size_t n)
 {
-    const __m128 alo = _mm_set1_ps(r.alo), ainv = _mm_set1_ps(r.ainv);
-    const __m128 blo = _mm_set1_ps(r.blo), binv = _mm_set1_ps(r.binv);
+    __m256 vlo = _mm256_set1_ps(d[0]), vhi = vlo;
+    size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        const __m256 v = _mm256_loadu_ps(d + k);
+        vlo = _mm256_min_ps(vlo, v);
+        vhi = _mm256_max_ps(vhi, v);
+    }
+    alignas(32) float lanes_lo[8], lanes_hi[8];
+    _mm256_store_ps(lanes_lo, vlo);
+    _mm256_store_ps(lanes_hi, vhi);
+    float lo = lanes_lo[0], hi = lanes_hi[0];
+    for (size_t i = 1; i < 8; ++i) {
+        lo = std::min(lo, lanes_lo[i]);
+        hi = std::max(hi, lanes_hi[i]);
+    }
+    for (; k < n; ++k) {
+        lo = std::min(lo, d[k]);
+        hi = std::max(hi, d[k]);
+    }
+    return detail::binRange(lo, hi);
+}
+
+/// Bins of the eight floats at d, as unsigned 16-bit lanes.
+HIFI_AVX2_TARGET inline __m128i
+quantize8Avx2(const float *d, __m128 vlo, __m128 vinv, __m256d vbins,
+              __m256d zero, __m256d top)
+{
+    return _mm_packus_epi32(
+        quantize4Avx2(_mm_loadu_ps(d), vlo, vinv, vbins, zero, top),
+        quantize4Avx2(_mm_loadu_ps(d + 4), vlo, vinv, vbins, zero, top));
+}
+
+/**
+ * quantizePlane's pixel loop, eight bins at a time (bins < 65536, so
+ * the unsigned 32 -> 16 bit packs never saturate).  Writes the byte
+ * planes when `fixed` is non-null, else `idx`; returns the pixels
+ * done, the scalar loop takes the rest.
+ */
+HIFI_AVX2_TARGET size_t
+quantizePixelsAvx2(const float *d, size_t n, detail::BinRange r,
+                   size_t bins, uint8_t *fixed, uint8_t *moving,
+                   uint16_t *idx)
+{
+    const __m128 vlo = _mm_set1_ps(r.lo), vinv = _mm_set1_ps(r.inv);
     const __m256d vbins = _mm256_set1_pd(static_cast<double>(bins));
     const __m256d zero = _mm256_setzero_pd();
     const __m256d top = _mm256_set1_pd(1.0 - 1e-9);
-    const __m256i ibins = _mm256_set1_epi32(static_cast<int>(bins));
     size_t k = 0;
-    for (; k + 8 <= count; k += 8) {
-        const __m256i ia = _mm256_set_m128i(
-            quantize4Avx2(_mm_loadu_ps(pa + k + 4), alo, ainv, vbins,
-                          zero, top),
-            quantize4Avx2(_mm_loadu_ps(pa + k), alo, ainv, vbins, zero,
-                          top));
-        const __m256i ib = _mm256_set_m128i(
-            quantize4Avx2(_mm_loadu_ps(pb + k + 4), blo, binv, vbins,
-                          zero, top),
-            quantize4Avx2(_mm_loadu_ps(pb + k), blo, binv, vbins, zero,
-                          top));
-        const __m256i idx =
-            _mm256_add_epi32(_mm256_mullo_epi32(ia, ibins), ib);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + k), idx);
+    if (fixed != nullptr) {
+        const __m128i scale = _mm_set1_epi16(static_cast<short>(bins));
+        for (; k + 16 <= n; k += 16) {
+            const __m128i lo8 =
+                quantize8Avx2(d + k, vlo, vinv, vbins, zero, top);
+            const __m128i hi8 =
+                quantize8Avx2(d + k + 8, vlo, vinv, vbins, zero, top);
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(moving + k),
+                             _mm_packus_epi16(lo8, hi8));
+            _mm_storeu_si128(
+                reinterpret_cast<__m128i *>(fixed + k),
+                _mm_packus_epi16(_mm_mullo_epi16(lo8, scale),
+                                 _mm_mullo_epi16(hi8, scale)));
+        }
+    } else {
+        for (; k + 8 <= n; k += 8)
+            _mm_storeu_si128(
+                reinterpret_cast<__m128i *>(idx + k),
+                quantize8Avx2(d + k, vlo, vinv, vbins, zero, top));
     }
-    for (; k < count; ++k) {
-        out[k] = static_cast<uint32_t>(
-                     quantize(pa[k], r.alo, r.ainv, bins)) * bins +
-            static_cast<uint32_t>(quantize(pb[k], r.blo, r.binv, bins));
+    return k;
+}
+
+/// out[0, 32) = a[0, 32) + b[0, 32), bytewise.
+HIFI_AVX2_TARGET inline void
+add32Avx2(const uint8_t *a, const uint8_t *b, uint8_t *out)
+{
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i *>(out),
+        _mm256_add_epi8(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a)),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b))));
+}
+
+/// Phase one of the byte kernel over `rows` rows of `count` bytes
+/// (row r at a + r * stride, b + r * stride): out[k] = a[k] + b[k],
+/// row after row (never wraps for valid planes).  Rows of 32 or more
+/// end on one overlapping vector instead of a scalar tail.
+HIFI_AVX2_TARGET void
+joinBytesAvx2(const uint8_t *a, const uint8_t *b, size_t stride,
+              size_t count, size_t rows, uint8_t *out)
+{
+    for (size_t r = 0; r < rows; ++r, a += stride, b += stride,
+                out += count) {
+        if (count < 32) {
+            for (size_t k = 0; k < count; ++k)
+                out[k] = static_cast<uint8_t>(a[k] + b[k]);
+            continue;
+        }
+        size_t k = 0;
+        for (; k + 32 <= count; k += 32)
+            add32Avx2(a + k, b + k, out + k);
+        if (k < count)
+            add32Avx2(a + count - 32, b + count - 32, out + count - 32);
     }
 }
 
 #endif // HIFI_SIMD_AVX2_COMPILED
 
-/**
- * Count joint bins k in [0, count) into the kMiSubHists zeroed
- * sub-histograms of ws.sub, pixel k into sub-histogram k % 4.  Most
- * neighbouring pixels of a denoised frame share a joint bin; one
- * histogram would chain each increment on the previous store.
- */
-template <typename JointBin>
-inline void
-countBins(MiWorkspace &ws, size_t cells, size_t count, JointBin bin)
+/// Phase one, dispatched once per evaluation.
+void
+joinBytes(const uint8_t *a, const uint8_t *b, size_t stride, size_t count,
+          size_t rows, uint8_t *out)
 {
-    uint32_t *h0 = ws.sub.data(), *h1 = h0 + cells, *h2 = h1 + cells,
-             *h3 = h2 + cells;
-    size_t k = 0;
-    for (; k + 4 <= count; k += 4) {
-        ++h0[bin(k)];
-        ++h1[bin(k + 1)];
-        ++h2[bin(k + 2)];
-        ++h3[bin(k + 3)];
+#if HIFI_SIMD_AVX2_COMPILED
+    if (common::simd::avx2()) {
+        joinBytesAvx2(a, b, stride, count, rows, out);
+        return;
     }
-    for (; k < count; ++k)
-        ++h0[bin(k)];
+#endif
+    for (size_t r = 0; r < rows; ++r, a += stride, b += stride,
+                out += count)
+        for (size_t k = 0; k < count; ++k)
+            out[k] = static_cast<uint8_t>(a[k] + b[k]);
 }
 
 /**
- * MI from the counted sub-histograms of n pixels: their sum is the
- * integer joint histogram (each reference bin count is a double
- * incremented by 1.0, hence an exact integer that converts to the same
- * double).  The marginals add every cell in miAtShiftRef's order.  The
- * reference's entropy loop adds a term exactly for the non-empty cells
- * (their marginals are >= p > 0), so visiting only those, row-major,
- * adds the same terms in the same order.  Shared by the search and the
- * one-shot path, so neither can drift from the reference.
+ * Phase two: count the joint bytes p[0, n) into the kMiSubHists
+ * zeroed byte sub-histograms at `sub` (pixel k into k % kMiSubHists;
+ * the tail into the first), reading eight bytes per load.  Unrolled by
+ * hand: -O2 leaves the byte loop rolled.
+ */
+void
+countBytes(const uint8_t *p, size_t n, uint32_t *sub)
+{
+    static_assert(8 % kMiSubHists == 0);
+    const auto hist = [sub](size_t j) {
+        return sub + (j % kMiSubHists) * kMiByteCells;
+    };
+    uint32_t *h0 = hist(0), *h1 = hist(1), *h2 = hist(2), *h3 = hist(3),
+             *h4 = hist(4), *h5 = hist(5), *h6 = hist(6), *h7 = hist(7);
+    size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        uint64_t v;
+        std::memcpy(&v, p + k, sizeof(v));
+        ++h0[v & 0xff];
+        ++h1[(v >> 8) & 0xff];
+        ++h2[(v >> 16) & 0xff];
+        ++h3[(v >> 24) & 0xff];
+        ++h4[(v >> 32) & 0xff];
+        ++h5[(v >> 40) & 0xff];
+        ++h6[(v >> 48) & 0xff];
+        ++h7[v >> 56];
+    }
+    for (; k < n; ++k)
+        ++sub[p[k]];
+}
+
+/**
+ * MI from `subs` counted sub-histograms (`stride` cells apart) of n
+ * pixels: their sum is the integer joint histogram (each reference bin
+ * count is a double incremented by 1.0, hence an exact integer that
+ * converts to the same double).  The marginals add every cell in the
+ * reference's order.  The reference's entropy loop adds a term exactly
+ * for the non-empty cells (their marginals are >= p > 0), so visiting
+ * only those, row-major, adds the same terms in the same order.
  */
 double
-miFromCounts(MiWorkspace &ws, size_t bins, size_t n)
+miFromCounts(MiWorkspace &ws, size_t bins, size_t n, size_t subs,
+             size_t stride)
 {
     const size_t cells = bins * bins;
     const uint32_t *sub = ws.sub.data();
-    ws.joint.resize(cells);
-    for (size_t c = 0; c < cells; ++c)
-        ws.joint[c] = sub[c] + sub[cells + c] + sub[2 * cells + c] +
-            sub[3 * cells + c];
+    ws.joint.assign(sub, sub + cells);
+    for (size_t s = 1; s < subs; ++s)
+        for (size_t c = 0; c < cells; ++c)
+            ws.joint[c] += sub[s * stride + c];
 
     // The marginal pass also lists the non-empty cells, branch-free:
     // QC frames fill ~40% of the cells, so a branch would mispredict.
@@ -259,9 +294,12 @@ miFromCounts(MiWorkspace &ws, size_t bins, size_t n)
 }
 
 /**
- * The shift search's score: MI of fixed plane `a` against moving plane
- * `b` translated by (dx, dy), counted over the overlap.  Bitwise
- * identical to miAtShiftRef (see miFromCounts).
+ * The one MI score: fixed plane `a` against moving plane `b`
+ * translated by (dx, dy), counted over the overlap.  Byte planes take
+ * the two-phase kernel (joint bytes of the whole overlap, then one
+ * counting loop); the uint16_t planes (bins > 16, which no production
+ * search runs) count pixel by pixel into one histogram.  Bitwise
+ * identical to the re-quantizing reference (see miFromCounts).
  */
 double
 miAtShiftQ(const QuantizedPlane &a, const QuantizedPlane &b, long dx,
@@ -275,68 +313,33 @@ miAtShiftQ(const QuantizedPlane &a, const QuantizedPlane &b, long dx,
     if (x0 >= x1 || y0 >= y1)
         return 0.0;
 
-    const size_t cells = bins * bins;
-    const size_t count = static_cast<size_t>(x1 - x0);
-    ws.sub.assign(kMiSubHists * cells, 0);
-    auto countRows = [&](const auto *fixed, const auto *moving,
-                         auto joint) {
-        for (long y = y0; y < y1; ++y) {
-            const auto *ra = fixed + static_cast<size_t>(y) * a.width + x0;
-            const auto *rb = moving +
-                static_cast<size_t>(y - dy) * b.width + (x0 - dx);
-            countBins(ws, cells, count,
-                      [&](size_t k) { return joint(ra[k], rb[k]); });
-        }
-    };
+    // At dx == 0 the overlap rows are contiguous in both planes.
+    size_t count = static_cast<size_t>(x1 - x0);
+    size_t rows = static_cast<size_t>(y1 - y0);
+    if (dx == 0) {
+        count *= rows;
+        rows = 1;
+    }
+    const size_t n = count * rows;
+    const size_t oa =
+        static_cast<size_t>(y0) * a.width + static_cast<size_t>(x0);
+    const size_t ob = static_cast<size_t>(y0 - dy) * b.width +
+        static_cast<size_t>(x0 - dx);
     if (!a.fixedBytes.empty()) {
-        countRows(a.fixedBytes.data(), b.movingBytes.data(),
-                  [](uint8_t ia, uint8_t ib) {
-                      return static_cast<size_t>(ia + ib);
-                  });
-    } else {
-        countRows(a.idx.data(), b.idx.data(),
-                  [bins](uint16_t ia, uint16_t ib) {
-                      return static_cast<size_t>(ia) * bins + ib;
-                  });
+        ws.bytes.resize(n);
+        joinBytes(a.fixedBytes.data() + oa, b.movingBytes.data() + ob,
+                  a.width, count, rows, ws.bytes.data());
+        ws.sub.assign(kMiSubHists * kMiByteCells, 0);
+        countBytes(ws.bytes.data(), n, ws.sub.data());
+        return miFromCounts(ws, bins, n, kMiSubHists, kMiByteCells);
     }
-    return miFromCounts(ws, bins, count * static_cast<size_t>(y1 - y0));
-}
-
-/**
- * Fused one-shot MI of two same-shape images: quantizes both on the
- * fly straight into the joint counts.  For a single evaluation (QC's
- * miVsPrev, the re-image check in fib.cc) a QuantizedPlane build costs
- * more than it saves.  quantize() arithmetic is shared, so the counts
- * — and via miFromCounts the score — match the search and the
- * reference bit for bit.
- */
-double
-miOneShot(const Image2D &a, const Image2D &b, size_t bins)
-{
-    const size_t n = a.size();
-    if (n == 0)
-        return 0.0;
-    const MiRanges r = miRanges(a, b);
-    const float *pa = a.data().data();
-    const float *pb = b.data().data();
     const size_t cells = bins * bins;
-    MiWorkspace ws;
-    ws.sub.assign(kMiSubHists * cells, 0);
-#if HIFI_SIMD_AVX2_COMPILED
-    if (common::simd::avx2() && bins <= kMiSimdMaxBins) {
-        ws.idx.resize(n);
-        quantIndicesAvx2(pa, pb, n, r, static_cast<uint32_t>(bins),
-                         ws.idx.data());
-        countBins(ws, cells, n, [&](size_t k) { return ws.idx[k]; });
-    } else
-#endif
-    {
-        countBins(ws, cells, n, [&](size_t k) {
-            return quantize(pa[k], r.alo, r.ainv, bins) * bins +
-                quantize(pb[k], r.blo, r.binv, bins);
-        });
-    }
-    return miFromCounts(ws, bins, n);
+    ws.sub.assign(cells, 0);
+    const uint16_t *ra = a.idx.data() + oa, *rb = b.idx.data() + ob;
+    for (size_t r = 0; r < rows; ++r, ra += a.width, rb += a.width)
+        for (size_t k = 0; k < count; ++k)
+            ++ws.sub[ra[k] * bins + rb[k]];
+    return miFromCounts(ws, bins, n, 1, cells);
 }
 
 /**
@@ -386,13 +389,13 @@ windowCandidates(long s)
 }
 
 /**
- * The one shift search: register planes[k + 1] (moving) against
- * planes[k] (fixed) for every k.  All (pair, candidate) items are
+ * The one shift search: register *planes[k + 1] (moving) against
+ * *planes[k] (fixed) for every k.  All (pair, candidate) items are
  * scored in one fan-out, so a short chain still spreads over the pool,
  * and each pair's winner is then picked by the serial scan.
  */
 std::vector<std::pair<long, long>>
-searchConsecutive(const std::vector<QuantizedPlane> &planes,
+searchConsecutive(const std::vector<const QuantizedPlane *> &planes,
                   long max_shift)
 {
     if (planes.size() < 2)
@@ -403,10 +406,10 @@ searchConsecutive(const std::vector<QuantizedPlane> &planes,
     std::vector<double> score(pairs * nc);
     common::parallelFor(0, score.size(), kCandidateGrain,
                         [&](size_t i0, size_t i1) {
-        MiWorkspace ws;
+        MiWorkspace &ws = threadWorkspace();
         for (size_t i = i0; i < i1; ++i) {
             const size_t k = i / nc;
-            score[i] = miAtShiftQ(planes[k], planes[k + 1],
+            score[i] = miAtShiftQ(*planes[k], *planes[k + 1],
                                   cands[i % nc].first,
                                   cands[i % nc].second, ws);
         }
@@ -430,6 +433,15 @@ checkBins(size_t bins, const char *what)
                                     ": bins exceed uint16_t indices");
 }
 
+void
+checkSameShape(const QuantizedPlane &a, const QuantizedPlane &b,
+               const char *what)
+{
+    if (a.width != b.width || a.height != b.height || a.bins != b.bins)
+        throw std::invalid_argument(std::string(what) +
+                                    ": plane shape or bins mismatch");
+}
+
 } // namespace
 
 QuantizedPlane
@@ -440,34 +452,51 @@ quantizePlane(const Image2D &img, size_t bins)
     q.width = img.width();
     q.height = img.height();
     q.bins = bins;
-    const float lo = img.minValue();
-    const float hi = img.maxValue();
-    const float inv = (hi > lo) ? 1.0f / (hi - lo) : 0.0f;
-    const std::vector<float> &d = img.data();
-    if (bins * bins <= kMiByteCells) {
-        q.fixedBytes.resize(d.size());
-        q.movingBytes.resize(d.size());
-        for (size_t i = 0; i < d.size(); ++i) {
-            const size_t b = quantize(d[i], lo, inv, bins);
+    const float *d = img.data().data();
+    const size_t n = img.size();
+    const bool bytes = bins * bins <= kMiByteCells;
+    if (bytes) {
+        q.fixedBytes.resize(n);
+        q.movingBytes.resize(n);
+    } else {
+        q.idx.resize(n);
+    }
+    detail::BinRange r;
+    size_t i = 0;
+#if HIFI_SIMD_AVX2_COMPILED
+    if (common::simd::avx2() && n > 0) {
+        r = binRangeAvx2(d, n);
+        i = quantizePixelsAvx2(d, n, r, bins,
+                               bytes ? q.fixedBytes.data() : nullptr,
+                               q.movingBytes.data(), q.idx.data());
+    } else
+#endif
+    {
+        r = detail::binRange(img);
+    }
+    for (; i < n; ++i) {
+        const size_t b = quantize(d[i], r.lo, r.inv, bins);
+        if (bytes) {
             q.fixedBytes[i] = static_cast<uint8_t>(b * bins);
             q.movingBytes[i] = static_cast<uint8_t>(b);
+        } else {
+            q.idx[i] = static_cast<uint16_t>(b);
         }
-    } else {
-        q.idx.resize(d.size());
-        for (size_t i = 0; i < d.size(); ++i)
-            q.idx[i] =
-                static_cast<uint16_t>(quantize(d[i], lo, inv, bins));
     }
     return q;
 }
 
 double
+mutualInformation(const QuantizedPlane &a, const QuantizedPlane &b)
+{
+    checkSameShape(a, b, "mutualInformation");
+    return miAtShiftQ(a, b, 0, 0, threadWorkspace());
+}
+
+double
 mutualInformation(const Image2D &a, const Image2D &b, size_t bins)
 {
-    if (a.width() != b.width() || a.height() != b.height())
-        throw std::invalid_argument("mutualInformation: shape mismatch");
-    checkBins(bins, "mutualInformation");
-    return miOneShot(a, b, bins);
+    return mutualInformationAtShift(a, b, 0, 0, bins);
 }
 
 double
@@ -478,22 +507,16 @@ mutualInformationAtShift(const Image2D &a, const Image2D &b, long dx,
         throw std::invalid_argument(
             "mutualInformationAtShift: shape mismatch");
     checkBins(bins, "mutualInformationAtShift");
-    MiWorkspace ws;
     return miAtShiftQ(quantizePlane(a, bins), quantizePlane(b, bins), dx,
-                      dy, ws);
+                      dy, threadWorkspace());
 }
 
-double
-mutualInformationAtShiftReference(const Image2D &a, const Image2D &b,
-                                  long dx, long dy, size_t bins)
+std::pair<long, long>
+registerShiftMi(const QuantizedPlane &fixed, const QuantizedPlane &moving,
+                long maxShift)
 {
-    if (a.width() != b.width() || a.height() != b.height())
-        throw std::invalid_argument(
-            "mutualInformationAtShiftReference: shape mismatch");
-    if (bins < 2)
-        throw std::invalid_argument(
-            "mutualInformationAtShiftReference: bins < 2");
-    return miAtShiftRef(a, b, miRanges(a, b), dx, dy, bins);
+    checkSameShape(fixed, moving, "registerShiftMi");
+    return searchConsecutive({&fixed, &moving}, maxShift).front();
 }
 
 std::pair<long, long>
@@ -504,11 +527,9 @@ registerShiftMi(const Image2D &fixed, const Image2D &moving,
         fixed.height() != moving.height()) {
         throw std::invalid_argument("registerShiftMi: shape mismatch");
     }
-    std::vector<QuantizedPlane> planes;
-    planes.reserve(2);
-    planes.push_back(quantizePlane(fixed, params.bins));
-    planes.push_back(quantizePlane(moving, params.bins));
-    return searchConsecutive(planes, params.maxShift).front();
+    return registerShiftMi(quantizePlane(fixed, params.bins),
+                           quantizePlane(moving, params.bins),
+                           params.maxShift);
 }
 
 std::vector<std::pair<long, long>>
@@ -534,33 +555,15 @@ registerShiftMiChain(const Image2D *anchor,
                                                : slices[i - lead],
                                       params.bins);
     });
+    std::vector<const QuantizedPlane *> chain;
+    chain.reserve(planes.size());
+    for (const QuantizedPlane &p : planes)
+        chain.push_back(&p);
     std::vector<std::pair<long, long>> shifts =
-        searchConsecutive(planes, params.maxShift);
+        searchConsecutive(chain, params.maxShift);
     if (!anchor)
         shifts.insert(shifts.begin(), {0, 0});
     return shifts;
-}
-
-std::pair<long, long>
-registerShiftMiReference(const Image2D &fixed, const Image2D &moving,
-                         const MiParams &params)
-{
-    if (fixed.width() != moving.width() ||
-        fixed.height() != moving.height()) {
-        throw std::invalid_argument(
-            "registerShiftMiReference: shape mismatch");
-    }
-    const MiRanges ranges = miRanges(fixed, moving);
-    const auto cands = windowCandidates(params.maxShift);
-    std::vector<double> score(cands.size());
-    common::parallelFor(0, cands.size(), kCandidateGrain,
-                        [&](size_t i0, size_t i1) {
-        for (size_t i = i0; i < i1; ++i)
-            score[i] = miAtShiftRef(fixed, moving, ranges,
-                                    cands[i].first, cands[i].second,
-                                    params.bins);
-    });
-    return pickBest(cands, score.data());
 }
 
 double

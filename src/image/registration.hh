@@ -9,17 +9,20 @@
  * scope::postprocess calls per window) and the residual against ground
  * truth.
  *
- * Fast path: each image is quantized into bin-index planes *once*, and
- * every candidate offset counts an integer joint histogram over those
- * planes.  With bins * bins <= 256 the planes are bytes (idx * bins for
- * the fixed image, idx for the moving one), so a joint bin is one byte
- * add; the counts go into four interleaved sub-histograms summed at the
- * end.  One scorer serves every search: registerShiftMi is a chain of
- * one pair.  Bin assignment, counts, and the MI arithmetic are exactly
- * those of the straightforward per-candidate re-quantization, so the
- * scores — and therefore the recovered shifts — are bitwise identical to
- * the reference implementation (retained below for the equivalence
- * tests).
+ * Fast path: each image is quantized into bin-index planes *once*
+ * (AVX2 when available), and every candidate offset counts an integer
+ * joint histogram over those planes.  With bins * bins <= 256 the
+ * planes are bytes (idx * bins for the fixed image, idx for the moving
+ * one), so a joint bin is one byte add: each evaluation first writes
+ * the overlap's joint bytes (32 per AVX2 add), then counts them in one
+ * loop into four interleaved sub-histograms.  Callers that keep planes
+ * (QcMonitor) score them directly through the QuantizedPlane
+ * overloads.  One scorer serves every search: registerShiftMi is a
+ * chain of one pair.  Bin assignment, counts, and the MI arithmetic
+ * are exactly those of the straightforward per-candidate
+ * re-quantization, so the scores — and therefore the recovered shifts
+ * — are bitwise identical to the reference implementation in
+ * tests/mi_reference.hh.
  */
 
 #ifndef HIFI_IMAGE_REGISTRATION_HH
@@ -80,22 +83,20 @@ double mutualInformation(const Image2D &a, const Image2D &b,
                          size_t bins = 32);
 
 /**
+ * mutualInformation of the two images these planes were quantized
+ * from (same shape and bins, else std::invalid_argument), without
+ * quantizing again.
+ */
+double mutualInformation(const QuantizedPlane &a,
+                         const QuantizedPlane &b);
+
+/**
  * MI over the overlap of `a` and `b` when b is conceptually translated
  * by (dx, dy): quantizes both images and runs the shift search's
  * per-candidate scorer, exposed for the equivalence tests.
  */
 double mutualInformationAtShift(const Image2D &a, const Image2D &b,
                                 long dx, long dy, size_t bins = 32);
-
-/**
- * Reference implementation of mutualInformationAtShift that
- * re-quantizes both images per call (the original algorithm).
- * Retained as the ground truth for the bitwise-equivalence tests;
- * not used on the hot path.
- */
-double mutualInformationAtShiftReference(const Image2D &a,
-                                         const Image2D &b, long dx,
-                                         long dy, size_t bins = 32);
 
 /**
  * Find the integer (dx, dy) translation of `moving` that maximizes
@@ -109,6 +110,12 @@ std::pair<long, long> registerShiftMi(const Image2D &fixed,
                                       const Image2D &moving,
                                       const MiParams &params = {});
 
+/// registerShiftMi over already quantized planes (same shape and bins,
+/// else std::invalid_argument), searching [-maxShift, maxShift]^2.
+std::pair<long, long> registerShiftMi(const QuantizedPlane &fixed,
+                                      const QuantizedPlane &moving,
+                                      long maxShift);
+
 /**
  * registerShiftMi of every slice against its predecessor: element i is
  * registerShiftMi(slices[i - 1], slices[i], params), with `anchor`
@@ -119,15 +126,6 @@ std::pair<long, long> registerShiftMi(const Image2D &fixed,
  */
 std::vector<std::pair<long, long>> registerShiftMiChain(
     const Image2D *anchor, const std::vector<Image2D> &slices,
-    const MiParams &params = {});
-
-/**
- * Reference exhaustive search scoring every candidate with the
- * re-quantizing MI (same tie-break rule).  Retained for the
- * equivalence tests.
- */
-std::pair<long, long> registerShiftMiReference(
-    const Image2D &fixed, const Image2D &moving,
     const MiParams &params = {});
 
 /**

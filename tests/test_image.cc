@@ -24,6 +24,9 @@
 #include "image/registration.hh"
 #include "image/volume3d.hh"
 
+#include "mi_reference.hh"
+#include "qc_reference.hh"
+
 namespace
 {
 
@@ -336,7 +339,7 @@ TEST(Registration, QuantizedMiIsBitwiseIdenticalToReference)
                     const double fast = image::mutualInformationAtShift(
                         a, b, dx, dy, bins);
                     const double ref =
-                        image::mutualInformationAtShiftReference(
+                        testref::mutualInformationAtShiftReference(
                             a, b, dx, dy, bins);
                     expectSameBits(
                         fast, ref,
@@ -363,7 +366,7 @@ TEST(Registration, FastSearchMatchesReferenceSearch)
         mi.maxShift = span;
         const auto fast = image::registerShiftMi(fixed, moving, mi);
         const auto ref =
-            image::registerShiftMiReference(fixed, moving, mi);
+            testref::registerShiftMiReference(fixed, moving, mi);
         EXPECT_EQ(fast, ref) << "maxShift " << span;
     }
 }
@@ -386,10 +389,10 @@ TEST(Registration, ChainMatchesPairwiseReference)
         const image::MiParams mi{bins, 4};
         std::vector<std::pair<long, long>> anchored, unanchored;
         anchored.push_back(
-            image::registerShiftMiReference(anchor, slices[0], mi));
+            testref::registerShiftMiReference(anchor, slices[0], mi));
         unanchored.emplace_back(0, 0);
         for (size_t i = 1; i < slices.size(); ++i) {
-            const auto ref = image::registerShiftMiReference(
+            const auto ref = testref::registerShiftMiReference(
                 slices[i - 1], slices[i], mi);
             anchored.push_back(ref);
             unanchored.push_back(ref);
@@ -431,7 +434,7 @@ TEST(Registration, QuantizePlaneMatchesReferenceBinning)
     // only possible if every pixel landed in the reference's bin.
     expectSameBits(
         image::mutualInformationAtShift(img, img, 0, 0, 32),
-        image::mutualInformationAtShiftReference(img, img, 0, 0, 32),
+        testref::mutualInformationAtShiftReference(img, img, 0, 0, 32),
         "self MI through quantized plane");
     EXPECT_THROW(image::quantizePlane(img, 1), std::invalid_argument);
     EXPECT_THROW(image::quantizePlane(img, 70000),
@@ -448,7 +451,7 @@ TEST(Registration, ConstantImagesTieBreakToZeroShift)
     const auto shift = image::registerShiftMi(flat_a, flat_b);
     EXPECT_EQ(shift, (std::pair<long, long>{0, 0}));
     const auto ref =
-        image::registerShiftMiReference(flat_a, flat_b);
+        testref::registerShiftMiReference(flat_a, flat_b);
     EXPECT_EQ(ref, (std::pair<long, long>{0, 0}));
 }
 
@@ -641,6 +644,232 @@ TEST(Qc, MonitorHandlesDegenerateHistoryWithoutBlowingUp)
     EXPECT_TRUE(allMetricsFinite(m3));
 }
 
+// ---- QC monitor vs its re-quantizing reference -----------------------
+
+void
+expectSameMetrics(const image::QcMetrics &got,
+                  const image::QcMetrics &want, const std::string &what)
+{
+    expectSameBits(got.snr, want.snr, what + " snr");
+    expectSameBits(got.focusScore, want.focusScore, what + " focus");
+    expectSameBits(got.saturationFraction, want.saturationFraction,
+                   what + " saturation");
+    expectSameBits(got.deadRowFraction, want.deadRowFraction,
+                   what + " dead rows");
+    expectSameBits(got.stripeScore, want.stripeScore, what + " stripes");
+    expectSameBits(got.miVsPrev, want.miVsPrev, what + " miVsPrev");
+    EXPECT_EQ(got.shiftX, want.shiftX) << what;
+    EXPECT_EQ(got.shiftY, want.shiftY) << what;
+    EXPECT_EQ(got.flags, want.flags) << what;
+}
+
+/// The w x h window at (ox, oy) of a textured field: bands, a grating
+/// and a checkerboard, so every offset has its own MI.
+Image2D
+driftFrame(long ox, long oy, size_t w, size_t h)
+{
+    Image2D img(w, h);
+    for (size_t y = 0; y < h; ++y) {
+        for (size_t x = 0; x < w; ++x) {
+            const long gx = static_cast<long>(x) + ox + 100;
+            const long gy = static_cast<long>(y) + oy + 100;
+            float v = 0.2f;
+            if ((gx / 6 + gy / 9) % 2)
+                v += 0.35f;
+            if ((gx + 2 * gy) % 17 < 4)
+                v += 0.3f;
+            if (gy % 23 < 3)
+                v = 0.05f;
+            img.at(x, y) = v;
+        }
+    }
+    return img;
+}
+
+/// The imaging pathologies the drive injects, by attempt.
+enum class DriveFault
+{
+    None,
+    Dropout,
+    Bloom,
+    Excursion,
+    Defocus,
+    Stripes,
+    Blank,
+};
+
+Image2D
+faultedFrame(long ox, long oy, DriveFault fault, uint64_t seed)
+{
+    const size_t w = 48, h = 40;
+    if (fault == DriveFault::Excursion)
+        ox += 6;
+    Image2D img = driftFrame(ox, oy, w, h);
+    if (fault == DriveFault::Defocus) {
+        const Image2D sharp = img;
+        for (size_t y = 0; y < h; ++y)
+            for (size_t x = 0; x < w; ++x) {
+                float sum = 0.0f;
+                for (long d = -2; d <= 2; ++d)
+                    sum += sharp.clampedAt(static_cast<long>(x) + d,
+                                           static_cast<long>(y)) +
+                        sharp.clampedAt(static_cast<long>(x),
+                                        static_cast<long>(y) + d);
+                img.at(x, y) = sum / 10.0f;
+            }
+    }
+    Rng rng(seed, 3);
+    image::addGaussianNoise(img, 0.04, rng);
+    if (fault == DriveFault::Dropout)
+        for (size_t y = 10; y < 22; ++y)
+            for (size_t x = 0; x < w; ++x)
+                img.at(x, y) = 0.0f;
+    if (fault == DriveFault::Bloom)
+        for (size_t y = 5; y < 20; ++y)
+            for (size_t x = 8; x < 30; ++x)
+                img.at(x, y) = 1.6f;
+    if (fault == DriveFault::Stripes)
+        for (size_t y = 0; y < h; ++y)
+            for (size_t x = 0; x < w; ++x)
+                img.at(x, y) += x % 16 < 8 ? 0.25f : 0.0f;
+    if (fault == DriveFault::Blank)
+        img = Image2D(w, h, 0.3f);
+    return img;
+}
+
+TEST(Qc, MonitorMatchesReferenceBitwise)
+{
+    // A drifting run with faulted attempts, retries, rejected slices
+    // (noteRejected gaps) and one slice whose accepted frame is not
+    // the last evaluated one.  Every metric of every evaluation must
+    // match the re-quantizing reference bit for bit, at any thread
+    // count, on the byte planes (16 bins) and the uint16_t ones (32).
+    struct Slice
+    {
+        DriveFault first, retry;
+        bool acceptFirstAttempt;
+    };
+    using F = DriveFault;
+    const Slice run[] = {
+        {F::None, F::None, false},      {F::None, F::None, false},
+        {F::Dropout, F::None, false},   {F::None, F::None, false},
+        {F::Bloom, F::None, false},     {F::Excursion, F::Excursion, false},
+        {F::None, F::None, false},      {F::Defocus, F::Defocus, false},
+        {F::None, F::None, false},      {F::Stripes, F::None, false},
+        {F::Blank, F::Blank, false},    {F::Blank, F::Blank, false},
+        {F::None, F::None, false},      {F::None, F::Bloom, true},
+        {F::None, F::None, false},      {F::Excursion, F::None, false},
+        {F::None, F::None, false},
+    };
+
+    image::QcThresholds wide;
+    wide.miBins = 32;
+    wide.shiftSearchPx = 5;
+    for (const image::QcThresholds &t : {image::QcThresholds{}, wide}) {
+        // Drive the reference once, recording every evaluation.
+        std::vector<Image2D> frames;
+        std::vector<image::QcMetrics> want;
+        std::vector<size_t> attempts;
+        std::vector<long> accepted; // frame index, -1 when rejected
+        testref::ReferenceQcMonitor ref(t);
+        size_t flagged = 0, rejected = 0;
+        for (size_t s = 0; s < std::size(run); ++s) {
+            const long ox = static_cast<long>(s % 3) - 1;
+            const long oy = static_cast<long>(s / 2);
+            long pick = -1;
+            size_t a = 0;
+            for (; a < 2 && pick < 0; ++a) {
+                const DriveFault f = a == 0 ? run[s].first : run[s].retry;
+                frames.push_back(faultedFrame(ox, oy, f, 10 * s + a));
+                want.push_back(ref.evaluate(frames.back()));
+                const long last = static_cast<long>(frames.size()) - 1;
+                flagged += want.back().flagged();
+                if (run[s].acceptFirstAttempt && a == 1)
+                    pick = last - 1;
+                else if (!want.back().flagged() &&
+                         !run[s].acceptFirstAttempt)
+                    pick = last;
+            }
+            attempts.push_back(a);
+            accepted.push_back(pick);
+            if (pick >= 0) {
+                ref.accept(frames[static_cast<size_t>(pick)],
+                           want[static_cast<size_t>(pick)]);
+            } else {
+                ref.noteRejected();
+                ++rejected;
+            }
+        }
+        EXPECT_GE(flagged, 6u);
+        EXPECT_GE(rejected, 2u);
+
+        for (const size_t threads : {1u, 3u, 8u}) {
+            common::ScopedThreads scoped(threads);
+            image::QcMonitor monitor(t);
+            size_t f = 0;
+            for (size_t s = 0; s < std::size(run); ++s) {
+                for (size_t a = 0; a < attempts[s]; ++a, ++f)
+                    expectSameMetrics(
+                        monitor.evaluate(frames[f]), want[f],
+                        "bins " + std::to_string(t.miBins) +
+                            " threads " + std::to_string(threads) +
+                            " slice " + std::to_string(s) +
+                            " attempt " + std::to_string(a));
+                if (accepted[s] >= 0) {
+                    const auto i = static_cast<size_t>(accepted[s]);
+                    monitor.accept(frames[i], want[i]);
+                } else {
+                    monitor.noteRejected();
+                }
+            }
+            EXPECT_EQ(f, frames.size());
+        }
+    }
+}
+
+TEST(Qc, NoiseSigmaMatchesMedianReference)
+{
+    // The radix select must return common::median's order statistics
+    // bit for bit: odd and even interior counts, a single interior
+    // pixel, constant and heavily tied images, skinny frames, and
+    // values spanning many binades (zeros next to large Laplacians).
+    std::vector<Image2D> cases;
+    for (const auto &[w, h] : {std::pair<size_t, size_t>{3, 3},
+                               {4, 3},
+                               {5, 5},
+                               {6, 5},
+                               {3, 40},
+                               {40, 3},
+                               {3, 41},
+                               {41, 3},
+                               {48, 40},
+                               {49, 40},
+                               {120, 80}})
+        cases.push_back(noisyImage(w, h, 700 + w * 7 + h));
+    cases.emplace_back(20, 17, 0.37f);
+    cases.emplace_back(3, 3, 2.0f);
+    Image2D ties(31, 22);
+    Rng rng(71);
+    for (float &v : ties.data())
+        v = static_cast<float>(static_cast<int>(rng.uniform() * 3.0)) *
+            0.5f;
+    cases.push_back(ties);
+    Image2D sparse(30, 30, 0.0f);
+    for (size_t i = 0; i < sparse.size(); i += 7)
+        sparse.data()[i] = static_cast<float>(i) * 1e3f;
+    cases.push_back(sparse);
+    Image2D binades(33, 28);
+    for (size_t i = 0; i < binades.size(); ++i)
+        binades.data()[i] = std::ldexp(1.0f, static_cast<int>(i % 60) - 30);
+    cases.push_back(binades);
+    for (size_t i = 0; i < cases.size(); ++i)
+        expectSameBits(image::estimateNoiseSigma(cases[i]),
+                       testref::noiseSigmaReference(cases[i]),
+                       "case " + std::to_string(i) + " (" +
+                           std::to_string(cases[i].width()) + "x" +
+                           std::to_string(cases[i].height()) + ")");
+}
+
 // ---- SIMD kernels vs the portable scalar path -----------------------
 
 Image2D
@@ -709,7 +938,7 @@ TEST(Simd, MutualInformationMatchesReferenceOnBothPaths)
         for (const long dy : {-3l, 0l, 2l})
             for (const long dx : {-2l, 0l, 5l}) {
                 const double ref =
-                    image::mutualInformationAtShiftReference(
+                    testref::mutualInformationAtShiftReference(
                         a, b, dx, dy, bins);
                 const double fast =
                     image::mutualInformationAtShift(a, b, dx, dy,
@@ -729,13 +958,49 @@ TEST(Simd, MutualInformationMatchesReferenceOnBothPaths)
                     << "bins " << bins << " shift " << dx << ","
                     << dy << " (portable)";
             }
-        // The fused one-shot entry point is the same computation.
+        // The zero-shift entry point is the same computation.
         const double one = image::mutualInformation(a, b, bins);
         const double oneRef =
-            image::mutualInformationAtShiftReference(a, b, 0, 0,
+            testref::mutualInformationAtShiftReference(a, b, 0, 0,
                                                      bins);
         EXPECT_EQ(std::memcmp(&one, &oneRef, sizeof(double)), 0)
             << "one-shot bins " << bins;
+    }
+}
+
+TEST(Simd, QuantizePlaneMatchesScalarBitwise)
+{
+    // Widths off the 8- and 16-pixel vector steps, a constant image,
+    // and bin counts either side of the byte-plane gate (16).
+    std::vector<Image2D> images;
+    for (const size_t w : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 33u, 120u})
+        images.push_back(simdNoisy(w, 5, 40 + w));
+    images.emplace_back(21, 4, 0.8f);
+    for (const Image2D &img : images) {
+        for (const size_t bins : {15u, 16u, 17u}) {
+            const image::QuantizedPlane fast =
+                image::quantizePlane(img, bins);
+            image::QuantizedPlane scalar;
+            {
+                common::simd::ScopedForceScalar off;
+                scalar = image::quantizePlane(img, bins);
+            }
+            const std::string what = std::to_string(img.width()) + "x" +
+                std::to_string(img.height()) + " bins " +
+                std::to_string(bins);
+            EXPECT_EQ(fast.fixedBytes, scalar.fixedBytes) << what;
+            EXPECT_EQ(fast.movingBytes, scalar.movingBytes) << what;
+            EXPECT_EQ(fast.idx, scalar.idx) << what;
+            // Both agree with the shared per-pixel binning.
+            const image::detail::BinRange r = image::detail::binRange(img);
+            for (size_t i = 0; i < img.size(); ++i) {
+                const size_t b = image::detail::quantize(
+                    img.data()[i], r.lo, r.inv, bins);
+                const size_t got = bins <= 16 ? fast.movingBytes[i]
+                                              : fast.idx[i];
+                ASSERT_EQ(got, b) << what << " pixel " << i;
+            }
+        }
     }
 }
 
@@ -749,7 +1014,7 @@ TEST(Simd, RegisterShiftMiAgreesWithReferenceOnBothPaths)
     image::MiParams mp;
     mp.maxShift = 4;
     mp.bins = 32;
-    const auto want = image::registerShiftMiReference(fixed, moving,
+    const auto want = testref::registerShiftMiReference(fixed, moving,
                                                       mp);
     EXPECT_EQ(image::registerShiftMi(fixed, moving, mp), want);
     common::simd::ScopedForceScalar off;

@@ -708,6 +708,29 @@ TEST(MemoryBudget, BudgetedPipelineReportMatchesInRam)
               core::reportDigest(tiled.value()));
 }
 
+TEST(MemoryBudget, FaultedDigestIsPinned)
+{
+    // Frozen output of a faulted, budgeted run: fault injection, QC,
+    // re-imaging, interpolation and the spill-to-disk tile store all
+    // feed this digest.  A speed change to any of them must keep it.
+    core::PipelineConfig config;
+    config.chipId = "B5";
+    config.pairs = 2;
+    config.faults.enabled = true;
+    config.seed = 42;
+    config.memoryBudget = 32ull << 20;
+    for (const size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        config.threads = threads;
+        config.spillDir =
+            scratchDir("pinned_" + std::to_string(threads));
+        const auto report = core::runPipelineChecked(config);
+        ASSERT_TRUE(report.ok()) << report.error().message;
+        EXPECT_EQ(core::reportDigest(report.value()),
+                  0x144a894eed2c9f4eull);
+    }
+}
+
 TEST(MemoryBudget, ConfigValidationIsTyped)
 {
     core::PipelineConfig config;
