@@ -862,6 +862,17 @@ TEST(Qc, NoiseSigmaMatchesMedianReference)
     for (size_t i = 0; i < binades.size(); ++i)
         binades.data()[i] = std::ldexp(1.0f, static_cast<int>(i % 60) - 30);
     cases.push_back(binades);
+    // Half the interior Laplacians in one small binade, half large:
+    // the two middle ranks fall in different radix buckets, the lower
+    // one holding hundreds of keys.
+    Image2D split(37, 42);
+    Rng rng2(73);
+    for (size_t y = 0; y < split.height(); ++y)
+        for (size_t x = 0; x < split.width(); ++x)
+            split.at(x, y) = ((x + y) % 2 ? 1.0f : -1.0f) *
+                (1.0f + 0.4f * static_cast<float>(rng2.uniform())) *
+                (y <= 21 ? 1e-3f : 1.0f);
+    cases.push_back(split);
     for (size_t i = 0; i < cases.size(); ++i)
         expectSameBits(image::estimateNoiseSigma(cases[i]),
                        testref::noiseSigmaReference(cases[i]),
