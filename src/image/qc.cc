@@ -1,11 +1,9 @@
 #include "image/qc.hh"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 
 #include "common/stats.hh"
 
@@ -54,86 +52,6 @@ profileRms(const std::vector<double> &profile)
     return std::sqrt(var / static_cast<double>(profile.size()));
 }
 
-/// Radix digit of the median select: 2048 buckets per round.
-constexpr int kDigitBits = 11;
-
-/// Candidate sets this small go straight to nth_element.
-constexpr size_t kSmallSet = 64;
-
-/**
- * common::median of non-negative, non-NaN doubles given as their bit
- * patterns (which order like the values as uint64_t), bit for bit:
- * rank n / 2, and for even n the mean of it and rank n / 2 - 1.  Each
- * round histograms the next kDigitBits bits, starting with the
- * exponent, and keeps only the bucket that holds both ranks.  When the
- * two ranks of an even count land in different buckets, they are the
- * largest key of the lower one and the smallest of the upper one.
- * `keys` must be non-empty; `pick` is scratch.
- */
-double
-medianOfKeys(const std::vector<uint64_t> &keys, std::vector<uint64_t> &pick)
-{
-    const size_t n = keys.size();
-    size_t hi = n / 2;
-    size_t lo = n % 2 ? hi : hi - 1;
-    const auto mean = [n](uint64_t klo, uint64_t khi) {
-        const double vhi = std::bit_cast<double>(khi);
-        return n % 2 ? vhi : 0.5 * (std::bit_cast<double>(klo) + vhi);
-    };
-
-    pick.resize(n);
-    const uint64_t *cur = keys.data();
-    size_t m = n;
-    std::array<uint32_t, size_t{1} << kDigitBits> count;
-    for (int shift = 52; m > kSmallSet; shift -= kDigitBits) {
-        shift = std::max(shift, 0);
-        const auto digit = [shift](uint64_t k) {
-            return static_cast<size_t>(k >> shift) &
-                ((size_t{1} << kDigitBits) - 1);
-        };
-        count.fill(0);
-        for (size_t i = 0; i < m; ++i)
-            ++count[digit(cur[i])];
-        size_t below = 0, first = 0;
-        while (below + count[first] <= lo)
-            below += count[first++];
-        size_t last = first, upto = below + count[first];
-        while (upto <= hi)
-            upto += count[++last];
-        if (first != last) {
-            uint64_t klo = 0, khi = ~uint64_t{0};
-            for (size_t i = 0; i < m; ++i) {
-                const size_t d = digit(cur[i]);
-                if (d == first)
-                    klo = std::max(klo, cur[i]);
-                else if (d == last)
-                    khi = std::min(khi, cur[i]);
-            }
-            return mean(klo, khi);
-        }
-        // Keep bucket `first` (in place after the first round: the
-        // write index never passes the read index).
-        size_t kept = 0;
-        for (size_t i = 0; i < m; ++i) {
-            const uint64_t k = cur[i];
-            pick[kept] = k;
-            kept += digit(k) == first;
-        }
-        cur = pick.data();
-        m = kept;
-        lo -= below;
-        hi -= below;
-        if (shift == 0)
-            break; // every kept key is equal
-    }
-    const auto begin = pick.begin();
-    if (cur == keys.data())
-        std::copy(keys.begin(), keys.end(), begin);
-    std::nth_element(begin, begin + hi, begin + m);
-    const uint64_t khi = begin[hi];
-    return mean(lo == hi ? khi : *std::max_element(begin, begin + hi), khi);
-}
-
 } // namespace
 
 double
@@ -142,8 +60,7 @@ estimateNoiseSigma(const Image2D &img)
     if (img.width() < 3 || img.height() < 3)
         return 0.0;
     const size_t w = img.width();
-    thread_local std::vector<uint64_t> keys, pick;
-    keys.resize((w - 2) * (img.height() - 2));
+    std::vector<uint64_t> keys((w - 2) * (img.height() - 2));
     uint64_t *out = keys.data();
     for (size_t y = 1; y + 1 < img.height(); ++y) {
         const float *up = img.row(y - 1), *mid = img.row(y),
@@ -154,7 +71,16 @@ estimateNoiseSigma(const Image2D &img)
             *out++ = std::bit_cast<uint64_t>(std::abs(l));
         }
     }
-    return kMadToSigma * medianOfKeys(keys, pick) / kLaplacianNorm;
+    // common::median's order statistics, on the bit patterns: they
+    // order like the non-negative values and select faster.
+    const auto mid = keys.begin() + static_cast<long>(keys.size() / 2);
+    std::nth_element(keys.begin(), mid, keys.end());
+    double med = std::bit_cast<double>(*mid);
+    if (keys.size() % 2 == 0)
+        med = 0.5 *
+            (std::bit_cast<double>(*std::max_element(keys.begin(), mid)) +
+             med);
+    return kMadToSigma * med / kLaplacianNorm;
 }
 
 double
@@ -290,12 +216,9 @@ QcMonitor::QcMonitor(QcThresholds thresholds)
 }
 
 QcMetrics
-QcMonitor::evaluate(const Image2D &slice)
+QcMonitor::evaluate(const Image2D &slice) const
 {
     QcMetrics m = computeQcMetrics(slice, thresholds_);
-    candidate_ = slice;
-    candidatePlane_ = quantizePlane(slice, thresholds_.miBins);
-    haveCandidate_ = true;
 
     // Neighbour consistency first: the recovered shift also aligns the
     // stripe differential below, so ordinary stage drift between
@@ -303,8 +226,9 @@ QcMonitor::evaluate(const Image2D &slice)
     bool aligned_stripes = false;
     if (hasPrev_ && prevPlane_.width == slice.width() &&
         prevPlane_.height == slice.height()) {
-        const auto shift = registerShiftMi(prevPlane_, candidatePlane_,
-                                           thresholds_.shiftSearchPx);
+        const auto shift = registerShiftMi(
+            prevPlane_, quantizePlane(slice, thresholds_.miBins),
+            thresholds_.shiftSearchPx);
         m.shiftX = shift.first;
         m.shiftY = shift.second;
         const Image2D aligned =
@@ -368,19 +292,7 @@ QcMonitor::evaluate(const Image2D &slice)
 void
 QcMonitor::accept(const Image2D &slice, const QcMetrics &metrics)
 {
-    // Callers accept the frame they just evaluated; anything else is
-    // quantized here.  The check is a memcmp of one frame.
-    const bool evaluated = haveCandidate_ &&
-        candidate_.width() == slice.width() &&
-        candidate_.height() == slice.height() &&
-        (slice.empty() ||
-         std::memcmp(candidate_.data().data(), slice.data().data(),
-                     slice.size() * sizeof(float)) == 0);
-    if (evaluated)
-        std::swap(prevPlane_, candidatePlane_);
-    else
-        prevPlane_ = quantizePlane(slice, thresholds_.miBins);
-    haveCandidate_ = false;
+    prevPlane_ = quantizePlane(slice, thresholds_.miBins);
     prevProfile_ = smoothedColumnProfile(slice);
     hasPrev_ = true;
     gapSinceAccept_ = 0;

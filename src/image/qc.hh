@@ -11,7 +11,7 @@
  *
  *  - SNR estimate: scene variance over noise variance, with the noise
  *    sigma estimated from the median absolute Laplacian (immune to the
- *    scene's own edges), found by an exact radix select.
+ *    scene's own edges).
  *  - Focus score: mean squared gradient (Tenengrad); defocus is
  *    detected *relative* to the recent history median, since the
  *    absolute value depends on the scene.
@@ -28,9 +28,9 @@
  *    beyond the instrument's re-registration bound.
  *
  * All functions are deterministic and, through the parallel kernels
- * they call, thread-count invariant.  QcMonitor quantizes each frame
- * for MI once: the accepted reference keeps its plane across calls,
- * and accept() adopts the plane the evaluated candidate already got.
+ * they call, thread-count invariant.  QcMonitor keeps the accepted
+ * reference's quantized MI plane across calls, so evaluate() quantizes
+ * only the candidate.
  */
 
 #ifndef HIFI_IMAGE_QC_HH
@@ -162,17 +162,10 @@ class QcMonitor
   public:
     explicit QcMonitor(QcThresholds thresholds = {});
 
-    /**
-     * Evaluate a candidate slice.  Does not update the history; keeps
-     * the candidate and its quantized plane for accept().
-     */
-    QcMetrics evaluate(const Image2D &slice);
+    /// Evaluate a candidate slice.  Does not update the history.
+    QcMetrics evaluate(const Image2D &slice) const;
 
-    /**
-     * Commit an accepted slice (and its metrics) to the history.  When
-     * `slice` is bitwise the last evaluated candidate, its plane is
-     * adopted; any other slice is quantized afresh.
-     */
+    /// Commit an accepted slice (and its metrics) to the history.
     void accept(const Image2D &slice, const QcMetrics &metrics);
 
     /**
@@ -192,9 +185,6 @@ class QcMonitor
     QuantizedPlane prevPlane_; ///< the accepted reference, for MI
     std::vector<double> prevProfile_;
     bool hasPrev_ = false;
-    Image2D candidate_; ///< last evaluated slice, matched by accept()
-    QuantizedPlane candidatePlane_;
-    bool haveCandidate_ = false;
     size_t gapSinceAccept_ = 0;
     std::vector<double> focusHistory_;
     std::vector<double> miHistory_;

@@ -42,7 +42,9 @@ constexpr size_t kMiByteCells = 256;
 /// QC frames.
 constexpr size_t kMiSubHists = 8;
 
-/// Reusable per-thread buffers for the quantized MI accumulation.
+/// Buffers for the quantized MI accumulation, reused by every
+/// evaluation of one fan-out chunk.  (Keeping one per pool worker in
+/// thread_local storage instead raised recon_clean's peak RSS.)
 struct MiWorkspace
 {
     std::vector<uint8_t> bytes;   ///< joint bins of the overlap
@@ -51,15 +53,6 @@ struct MiWorkspace
     std::vector<uint32_t> filled; ///< non-empty cells, row-major
     std::vector<double> pa, pb;
 };
-
-/// The calling thread's workspace: pool workers live for the whole
-/// process, so after the first evaluations scoring allocates nothing.
-MiWorkspace &
-threadWorkspace()
-{
-    thread_local MiWorkspace ws;
-    return ws;
-}
 
 #if HIFI_SIMD_AVX2_COMPILED
 
@@ -122,40 +115,31 @@ quantize8Avx2(const float *d, __m128 vlo, __m128 vinv, __m256d vbins,
 }
 
 /**
- * quantizePlane's pixel loop, eight bins at a time (bins < 65536, so
- * the unsigned 32 -> 16 bit packs never saturate).  Writes the byte
- * planes when `fixed` is non-null, else `idx`; returns the pixels
- * done, the scalar loop takes the rest.
+ * quantizePlane's pixel loop for the byte planes, sixteen pixels at a
+ * time (bins * bins <= 256, so no pack saturates); returns the pixels
+ * done, the scalar loop takes the rest and every uint16_t idx plane.
  */
 HIFI_AVX2_TARGET size_t
 quantizePixelsAvx2(const float *d, size_t n, detail::BinRange r,
-                   size_t bins, uint8_t *fixed, uint8_t *moving,
-                   uint16_t *idx)
+                   size_t bins, uint8_t *fixed, uint8_t *moving)
 {
     const __m128 vlo = _mm_set1_ps(r.lo), vinv = _mm_set1_ps(r.inv);
     const __m256d vbins = _mm256_set1_pd(static_cast<double>(bins));
     const __m256d zero = _mm256_setzero_pd();
     const __m256d top = _mm256_set1_pd(1.0 - 1e-9);
+    const __m128i scale = _mm_set1_epi16(static_cast<short>(bins));
     size_t k = 0;
-    if (fixed != nullptr) {
-        const __m128i scale = _mm_set1_epi16(static_cast<short>(bins));
-        for (; k + 16 <= n; k += 16) {
-            const __m128i lo8 =
-                quantize8Avx2(d + k, vlo, vinv, vbins, zero, top);
-            const __m128i hi8 =
-                quantize8Avx2(d + k + 8, vlo, vinv, vbins, zero, top);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(moving + k),
-                             _mm_packus_epi16(lo8, hi8));
-            _mm_storeu_si128(
-                reinterpret_cast<__m128i *>(fixed + k),
-                _mm_packus_epi16(_mm_mullo_epi16(lo8, scale),
-                                 _mm_mullo_epi16(hi8, scale)));
-        }
-    } else {
-        for (; k + 8 <= n; k += 8)
-            _mm_storeu_si128(
-                reinterpret_cast<__m128i *>(idx + k),
-                quantize8Avx2(d + k, vlo, vinv, vbins, zero, top));
+    for (; k + 16 <= n; k += 16) {
+        const __m128i lo8 =
+            quantize8Avx2(d + k, vlo, vinv, vbins, zero, top);
+        const __m128i hi8 =
+            quantize8Avx2(d + k + 8, vlo, vinv, vbins, zero, top);
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(moving + k),
+                         _mm_packus_epi16(lo8, hi8));
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i *>(fixed + k),
+            _mm_packus_epi16(_mm_mullo_epi16(lo8, scale),
+                             _mm_mullo_epi16(hi8, scale)));
     }
     return k;
 }
@@ -406,7 +390,7 @@ searchConsecutive(const std::vector<const QuantizedPlane *> &planes,
     std::vector<double> score(pairs * nc);
     common::parallelFor(0, score.size(), kCandidateGrain,
                         [&](size_t i0, size_t i1) {
-        MiWorkspace &ws = threadWorkspace();
+        MiWorkspace ws;
         for (size_t i = i0; i < i1; ++i) {
             const size_t k = i / nc;
             score[i] = miAtShiftQ(*planes[k], *planes[k + 1],
@@ -466,9 +450,9 @@ quantizePlane(const Image2D &img, size_t bins)
 #if HIFI_SIMD_AVX2_COMPILED
     if (common::simd::avx2() && n > 0) {
         r = binRangeAvx2(d, n);
-        i = quantizePixelsAvx2(d, n, r, bins,
-                               bytes ? q.fixedBytes.data() : nullptr,
-                               q.movingBytes.data(), q.idx.data());
+        if (bytes)
+            i = quantizePixelsAvx2(d, n, r, bins, q.fixedBytes.data(),
+                                   q.movingBytes.data());
     } else
 #endif
     {
@@ -490,7 +474,8 @@ double
 mutualInformation(const QuantizedPlane &a, const QuantizedPlane &b)
 {
     checkSameShape(a, b, "mutualInformation");
-    return miAtShiftQ(a, b, 0, 0, threadWorkspace());
+    MiWorkspace ws;
+    return miAtShiftQ(a, b, 0, 0, ws);
 }
 
 double
@@ -507,8 +492,9 @@ mutualInformationAtShift(const Image2D &a, const Image2D &b, long dx,
         throw std::invalid_argument(
             "mutualInformationAtShift: shape mismatch");
     checkBins(bins, "mutualInformationAtShift");
+    MiWorkspace ws;
     return miAtShiftQ(quantizePlane(a, bins), quantizePlane(b, bins), dx,
-                      dy, threadWorkspace());
+                      dy, ws);
 }
 
 std::pair<long, long>

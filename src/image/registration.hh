@@ -15,7 +15,7 @@
  * planes are bytes (idx * bins for the fixed image, idx for the moving
  * one), so a joint bin is one byte add: each evaluation first writes
  * the overlap's joint bytes (32 per AVX2 add), then counts them in one
- * loop into four interleaved sub-histograms.  Callers that keep planes
+ * loop into eight interleaved sub-histograms.  Callers that keep planes
  * (QcMonitor) score them directly through the QuantizedPlane
  * overloads.  One scorer serves every search: registerShiftMi is a
  * chain of one pair.  Bin assignment, counts, and the MI arithmetic

@@ -829,10 +829,11 @@ TEST(Qc, MonitorMatchesReferenceBitwise)
 
 TEST(Qc, NoiseSigmaMatchesMedianReference)
 {
-    // The radix select must return common::median's order statistics
-    // bit for bit: odd and even interior counts, a single interior
-    // pixel, constant and heavily tied images, skinny frames, and
-    // values spanning many binades (zeros next to large Laplacians).
+    // The select on the |Laplacian| bit patterns must return
+    // common::median's order statistics bit for bit: odd and even
+    // interior counts, a single interior pixel, constant and heavily
+    // tied images, skinny frames, and values spanning many binades
+    // (zeros next to large Laplacians).
     std::vector<Image2D> cases;
     for (const auto &[w, h] : {std::pair<size_t, size_t>{3, 3},
                                {4, 3},
@@ -863,8 +864,7 @@ TEST(Qc, NoiseSigmaMatchesMedianReference)
         binades.data()[i] = std::ldexp(1.0f, static_cast<int>(i % 60) - 30);
     cases.push_back(binades);
     // Half the interior Laplacians in one small binade, half large:
-    // the two middle ranks fall in different radix buckets, the lower
-    // one holding hundreds of keys.
+    // the two middle ranks lie in different binades.
     Image2D split(37, 42);
     Rng rng2(73);
     for (size_t y = 0; y < split.height(); ++y)
